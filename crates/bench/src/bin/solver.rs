@@ -35,7 +35,7 @@ use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
 use pmcf_linalg::leverage::estimate_leverage;
-use pmcf_linalg::solver::{LaplacianSolver, RhsSpec, SolverOpts};
+use pmcf_linalg::solver::{LaplacianSolver, RhsSpec, SolveParams, SolverOpts};
 use pmcf_pram::{Cost, ParMode, Tracker};
 use std::time::Instant;
 
@@ -109,29 +109,33 @@ fn main() {
         b[0] = 0.0;
         b
     };
-    let steady_params = pmcf_linalg::solver::SolveParams {
+    let steady_params = SolveParams {
         d_gen: Some(1),
         ..Default::default()
+    };
+    let steady_rhs = RhsSpec {
+        b: &steady_b,
+        guess: None,
     };
     let steady_rounds = 16usize;
     // warm-up: builds the preconditioner and fills every buffer class
     {
         let mut t = Tracker::new();
-        let (x, _) = solver.solve_with(&mut t, &d, &steady_b, &steady_params);
+        let (x, _) = solver.solve_with(&mut t, &d, &steady_rhs, &steady_params);
         solver.workspace().give(x);
     }
     let mut steady_t = Tracker::new();
     let steady_wall = Instant::now();
     let ((), steady_allocs) = measure_allocs(|| {
         for _ in 0..steady_rounds {
-            let (x, _) = solver.solve_with(&mut steady_t, &d, &steady_b, &steady_params);
+            let (x, _) = solver.solve_with(&mut steady_t, &d, &steady_rhs, &steady_params);
             solver.workspace().give(x);
         }
     });
     let steady_wall = steady_wall.elapsed().as_secs_f64();
     let steady_iters = {
         let mut t = Tracker::new();
-        let (x, stats) = solver.solve_with(&mut t, &d, &steady_b, &steady_params);
+        let (x, stats) = solver.solve_with(&mut t, &d, &steady_rhs, &steady_params);
         solver.workspace().give(x);
         stats.iterations as u64 * steady_rounds as u64
     };
@@ -190,8 +194,12 @@ fn main() {
                 b: &rhs_c,
                 guess: prev_dc.as_deref(),
             };
-            let ((dy, st_y), (dc, st_c)) =
-                solver.solve_pair_keyed(t, &d, &sy, &sc, None, Some(1), Some(ws));
+            let params = SolveParams {
+                opts: None,
+                d_gen: Some(1),
+                ws: Some(ws),
+            };
+            let ((dy, st_y), (dc, st_c)) = solver.solve_pair(t, &d, &sy, &sc, &params);
             ws.give(rhs_y);
             ws.give(rhs_c);
             if let Some(old) = prev_dy.replace(dy) {
@@ -307,7 +315,7 @@ fn main() {
         .collect();
     let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
     let mut t = Tracker::new();
-    let batch = bsolver.solve_batch(&mut t, &bd, &specs, None);
+    let batch = bsolver.solve_batch(&mut t, &bd, &specs, &SolveParams::default());
     let batch_ok = rhss.iter().zip(&batch).all(|(b, (xb, _))| {
         let (xs, _) = bsolver.solve(&mut Tracker::new(), &bd, b);
         xs.iter().zip(xb).all(|(a, c)| (a - c).abs() <= 1e-9)

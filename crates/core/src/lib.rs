@@ -36,7 +36,6 @@ pub mod reference;
 pub mod resolve;
 pub mod robust;
 pub mod rounding;
-pub mod trace;
 
 pub use api::{
     max_flow, max_flow_with, min_cost_flow, resolve_mcf, solve_mcf, solve_mcf_checkpointed,

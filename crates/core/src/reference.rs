@@ -20,7 +20,7 @@
 use crate::barrier;
 use pmcf_graph::{incidence, McfProblem};
 use pmcf_linalg::leverage::estimate_leverage;
-use pmcf_linalg::solver::{LaplacianSolver, SolverOpts};
+use pmcf_linalg::solver::{LaplacianSolver, RhsSpec, SolveParams, SolverOpts};
 use pmcf_pram::{Cost, Tracker, Workspace};
 
 /// Safety factor declared in `solve.start` events for the
@@ -197,7 +197,7 @@ pub fn path_follow(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg, None)
+    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg)
 }
 
 /// [`path_follow`] resuming from a warm `(x0, y0)` pair — the
@@ -213,25 +213,9 @@ pub fn path_follow_warm(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg, None)
+    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg)
 }
 
-/// [`path_follow`] with an optional per-iteration trace recorder (the
-/// convergence-curve machinery of [`crate::trace`]).
-#[allow(clippy::too_many_arguments)]
-pub fn path_follow_traced(
-    t: &mut Tracker,
-    p: &McfProblem,
-    x0: Vec<f64>,
-    mu0: f64,
-    mu_end: f64,
-    cfg: &PathFollowConfig,
-    trace: Option<&mut crate::trace::TraceRecorder>,
-) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg, trace)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn path_follow_inner(
     t: &mut Tracker,
     p: &McfProblem,
@@ -240,7 +224,6 @@ fn path_follow_inner(
     mu0: f64,
     mu_end: f64,
     cfg: &PathFollowConfig,
-    mut trace: Option<&mut crate::trace::TraceRecorder>,
 ) -> (CentralPathState, PathStats) {
     let (n, m) = (p.n(), p.m());
     let cap: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
@@ -286,7 +269,6 @@ fn path_follow_inner(
     let refresh_tau =
         |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, round: usize| {
             t.span("ipm/tau-refresh", |t| {
-                let _trace = pmcf_obs::trace_scope("ipm/tau-refresh");
                 t.counter("ipm.tau_refreshes", 1);
                 // τ = σ(Φ''^{-1/2} A) + n/m  (leverage-score weights; the ℓ_p
                 // Lewis refinement changes polylog factors only — DESIGN.md §2)
@@ -324,7 +306,6 @@ fn path_follow_inner(
     let mut newton =
         |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, worst: f64| -> f64 {
             t.span("ipm/newton", |t| {
-                let _trace = pmcf_obs::trace_scope("ipm/newton");
                 t.counter("ipm.newton_steps", 1);
                 // residuals
                 let mut ddx = ws.take(t, m);
@@ -367,20 +348,23 @@ fn path_follow_inner(
                 } else {
                     SolverOpts::default().tol
                 };
-                let params = pmcf_linalg::solver::SolveParams {
+                let params = SolveParams {
                     opts: Some(SolverOpts {
                         tol,
                         max_iter: SolverOpts::default().max_iter,
                     }),
+                    d_gen: None,
+                    ws: Some(ws),
+                };
+                let spec = RhsSpec {
+                    b: &rhs,
                     guess: if cfg.warm_start {
                         prev_dy.as_deref()
                     } else {
                         None
                     },
-                    d_gen: None,
-                    ws: Some(ws),
                 };
-                let (dy, solve_stats) = solver.solve_with(t, &d, &rhs, &params);
+                let (dy, solve_stats) = solver.solve_with(t, &d, &spec, &params);
                 stats.cg_iterations += solve_stats.iterations;
                 // δ_x = D(A δ_y − r_d); `dr` is dead, reuse it for A δ_y
                 incidence::apply_a_into(t, &p.graph, &dy, &mut dr);
@@ -430,13 +414,12 @@ fn path_follow_inner(
         };
 
     t.span("ipm/loop", |t| {
-        let _trace = pmcf_obs::trace_scope("ipm/loop");
         while st.mu > mu_end && stats.iterations < cfg.max_iters {
             stats.iterations += 1;
             t.counter("ipm.iterations", 1);
             let mu_at_start = st.mu;
             let cg_at_start = stats.cg_iterations;
-            let iter_wall = pmcf_obs::report_active().then(std::time::Instant::now);
+            let iter_wall = pmcf_obs::ipm_iter_listening().then(std::time::Instant::now);
             if stats.iterations % cfg.tau_refresh == 0 {
                 let round = stats.iterations;
                 refresh_tau(t, &mut st, &mut stats, round);
@@ -463,41 +446,22 @@ fn path_follow_inner(
             // predictor: shrink μ
             let tau_sum: f64 = st.tau.iter().sum();
             let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);
-            if let Some(rec) = trace.as_deref_mut() {
-                rec.record_step(
-                    t,
-                    stats.iterations,
-                    mu_at_start,
-                    tau_sum,
-                    None,
-                    Some(shrink),
-                );
-            }
-            pmcf_obs::emit_with("ipm.iter", || {
-                vec![
-                    ("iteration", stats.iterations.into()),
-                    ("mu", mu_at_start.into()),
-                    ("gap_proxy", (mu_at_start * tau_sum).into()),
-                    ("step_size", shrink.into()),
-                    ("work", t.work().into()),
-                    ("depth", t.depth().into()),
-                ]
+            pmcf_obs::record_ipm_iter(|| pmcf_obs::IpmIterRow {
+                engine: label.to_string(),
+                iteration: stats.iterations as u64,
+                mu: mu_at_start,
+                gap: mu_at_start * tau_sum,
+                step: Some(shrink),
+                cg_iters: (stats.cg_iterations - cg_at_start) as u64,
+                wall_ns: iter_wall.map_or(0, |w| w.elapsed().as_nanos() as u64),
+                work: t.work(),
+                depth: t.depth(),
             });
-            pmcf_obs::record_ipm_iter(
-                label,
-                stats.iterations as u64,
-                mu_at_start,
-                mu_at_start * tau_sum,
-                Some(shrink),
-                (stats.cg_iterations - cg_at_start) as u64,
-                iter_wall.map_or(0, |w| w.elapsed().as_nanos() as u64),
-            );
             st.mu *= shrink;
         }
     });
     // final polish at μ_end
     t.span("ipm/polish", |t| {
-        let _trace = pmcf_obs::trace_scope("ipm/polish");
         for _ in 0..cfg.max_correctors {
             let (_, worst) = centrality(&st, &cap);
             if worst <= cfg.center_tol {
@@ -517,7 +481,6 @@ fn path_follow_inner(
     // budget; cold runs are already inside `center_tol` and never enter.
     if worst > 1.0 {
         t.span("ipm/polish", |t| {
-            let _trace = pmcf_obs::trace_scope("ipm/polish");
             for _ in 0..64 * cfg.max_correctors.max(1) {
                 if worst <= cfg.center_tol {
                     break;

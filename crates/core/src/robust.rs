@@ -37,8 +37,6 @@ use pmcf_graph::{incidence, DiGraph, McfProblem};
 use pmcf_linalg::lewis::ipm_p;
 use pmcf_linalg::solver::{LaplacianSolver, RhsSpec, SolveParams, SolverOpts};
 use pmcf_pram::{primitives as pp, Cost, Tracker, Workspace};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Step-size parameter γ (paper: `ε/(Cλ)`; a small constant here).
 const GAMMA: f64 = 0.05;
@@ -123,7 +121,6 @@ fn build_structures(
     seed: u64,
 ) -> RobustState {
     t.span("ipm/build-structures", |t| {
-        let _trace = pmcf_obs::trace_scope("ipm/build-structures");
         t.counter("ipm.structure_rebuilds", 1);
         build_structures_inner(t, p, cap, x, s, mu, solver, tau_anchor, seed)
     })
@@ -285,7 +282,6 @@ fn path_follow_inner(
             max_iter: 1500,
         },
     );
-    let _rng = SmallRng::seed_from_u64(cfg.seed ^ 0xD06F00D);
 
     // Warm resolve runs borrow the checkpoint's workspace and previous
     // duals; cold runs start from `y = 0, s = c` with a private arena.
@@ -332,7 +328,6 @@ fn path_follow_inner(
     let mut recenter =
         |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, rounds: usize| {
             t.span("ipm/recenter", |t| {
-                let _trace = pmcf_obs::trace_scope("ipm/recenter");
                 t.counter("ipm.recenterings", 1);
                 for _ in 0..rounds {
                     let (_, worst) = centrality(st, &cap);
@@ -413,17 +408,15 @@ fn path_follow_inner(
     let mut step_solver: Option<StepSolver> = None;
 
     t.span("ipm/loop", |t| {
-        let _trace = pmcf_obs::trace_scope("ipm/loop");
         while st.mu > mu_end && stats.iterations < cfg.max_iters {
             stats.iterations += 1;
             t.counter("ipm.iterations", 1);
             let cg_at_start = stats.cg_iterations;
-            let iter_wall = pmcf_obs::report_active().then(std::time::Instant::now);
+            let iter_wall = pmcf_obs::ipm_iter_listening().then(std::time::Instant::now);
 
             // ---- epoch boundary: exactify, recenter, rebuild structures ----
             if stats.iterations % epoch == 0 {
                 t.span("ipm/epoch", |t| {
-                    let _trace = pmcf_obs::trace_scope("ipm/epoch");
                     t.counter("ipm.epochs", 1);
                     pmcf_obs::emit_with("ipm.epoch", || {
                         vec![
@@ -470,8 +463,7 @@ fn path_follow_inner(
 
             // ---- robust step (paper eq. (4)-(5)) ----
             // τ̄ updates
-            let (tau_changed, tau_now) = rs.lm.query(t);
-            let tau_updates: Vec<usize> = tau_changed;
+            let (tau_updates, tau_now) = rs.lm.query(t);
             for &i in &tau_updates {
                 tau_sum += tau_now[i] - rs.tau[i];
                 rs.tau[i] = tau_now[i];
@@ -580,14 +572,16 @@ fn path_follow_inner(
                 // keyed solve: while `gen` is unchanged the Jacobi
                 // diagonal is a cache hit and the warm starts face the
                 // exact matrix they solved last step
-                Some(ss) => ss.solver.solve_pair_keyed(
+                Some(ss) => ss.solver.solve_pair(
                     t,
                     &ss.weights,
                     &specs[0],
                     &specs[1],
-                    None,
-                    Some(ss.gen),
-                    Some(ws),
+                    &SolveParams {
+                        opts: None,
+                        d_gen: Some(ss.gen),
+                        ws: Some(ws),
+                    },
                 ),
                 None => {
                     // full-matrix fallback: pooled Θ(m) diagonal filled by
@@ -595,17 +589,19 @@ fn path_follow_inner(
                     // collect
                     let mut d_full = ws.take(t, m);
                     pp::par_tabulate_into(t, &mut d_full, |e| d_weight(&rs, &cap, e));
-                    let sv = solver.solve_pair_keyed(
+                    let sv = solver.solve_pair(
                         t,
                         &d_full,
                         &specs[0],
                         &specs[1],
-                        Some(SolverOpts {
-                            tol: 5e-2,
-                            max_iter: 40,
-                        }),
-                        None,
-                        Some(ws),
+                        &SolveParams {
+                            opts: Some(SolverOpts {
+                                tol: 5e-2,
+                                max_iter: 40,
+                            }),
+                            d_gen: None,
+                            ws: Some(ws),
+                        },
                     );
                     ws.give(d_full);
                     sv
@@ -739,26 +735,17 @@ fn path_follow_inner(
 
             // μ step (Στ̄ maintained incrementally)
             let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);
-            pmcf_obs::emit_with("ipm.iter", || {
-                vec![
-                    ("iteration", stats.iterations.into()),
-                    ("mu", st.mu.into()),
-                    ("gap_proxy", (st.mu * tau_sum).into()),
-                    ("step_size", shrink.into()),
-                    ("sampled_coords", r_sample.len().into()),
-                    ("work", t.work().into()),
-                    ("depth", t.depth().into()),
-                ]
+            pmcf_obs::record_ipm_iter(|| pmcf_obs::IpmIterRow {
+                engine: label.to_string(),
+                iteration: stats.iterations as u64,
+                mu: st.mu,
+                gap: st.mu * tau_sum,
+                step: Some(shrink),
+                cg_iters: (stats.cg_iterations - cg_at_start) as u64,
+                wall_ns: iter_wall.map_or(0, |w| w.elapsed().as_nanos() as u64),
+                work: t.work(),
+                depth: t.depth(),
             });
-            pmcf_obs::record_ipm_iter(
-                label,
-                stats.iterations as u64,
-                st.mu,
-                st.mu * tau_sum,
-                Some(shrink),
-                (stats.cg_iterations - cg_at_start) as u64,
-                iter_wall.map_or(0, |w| w.elapsed().as_nanos() as u64),
-            );
             st.mu *= shrink;
         }
     });
@@ -822,7 +809,6 @@ fn dense_newton(
     ws: &Workspace,
 ) {
     t.span("ipm/newton", |t| {
-        let _trace = pmcf_obs::trace_scope("ipm/newton");
         t.counter("ipm.newton_steps", 1);
         let m = p.m();
         let n = p.n();
@@ -850,11 +836,14 @@ fn dense_newton(
         rhs[0] = 0.0;
         let params = SolveParams {
             opts,
-            guess: if warm_start { warm.as_deref() } else { None },
             d_gen: None,
             ws: Some(ws),
         };
-        let (dy, ss) = solver.solve_with(t, &d, &rhs, &params);
+        let spec = RhsSpec {
+            b: &rhs,
+            guess: if warm_start { warm.as_deref() } else { None },
+        };
+        let (dy, ss) = solver.solve_with(t, &d, &spec, &params);
         stats.cg_iterations += ss.iterations;
         // δ_x = D(A δ_y − r_d); `dr` is dead, reuse it for A δ_y
         incidence::apply_a_into(t, &p.graph, &dy, &mut dr);

@@ -105,17 +105,14 @@ impl DualMaintenance {
 
     /// Tighten/loosen accuracies (`SetAccuracy`): `Õ(|I|)` amortized.
     pub fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        let mut sync = Vec::with_capacity(updates.len());
         for &(i, d) in updates {
             assert!(d > 0.0);
             self.w[i] = d;
             self.vbar[i] = self.exact(i);
-            sync.push((i, 0.0));
         }
         t.charge(Cost::par_flat(updates.len() as u64));
         // detectors keep tracking with the *new* inverse-accuracy weight
         let reweight: Vec<(usize, f64)> = updates.iter().map(|&(i, d)| (i, 1.0 / d)).collect();
-        let _ = sync;
         for j in 0..self.detectors.len() {
             self.detectors[j].scale(t, &reweight);
         }

@@ -2,7 +2,6 @@
 
 //! # pmcf-ds — the IPM data-structure stack (paper Appendices A–E)
 //!
-//! * [`sorted_list`] — batch-parallel sorted list (Lemma A.2),
 //! * [`tau_sampler`] — the τ-proportional sampler (Theorem A.3),
 //! * [`heavy_hitter`] — expander-decomposition-backed detection of heavy
 //!   coordinates of `Diag(g)·A·h` (Lemma B.1),
@@ -22,5 +21,4 @@ pub mod heavy_hitter;
 pub mod heavy_sampler;
 pub mod lewis_maint;
 pub mod primal;
-pub mod sorted_list;
 pub mod tau_sampler;

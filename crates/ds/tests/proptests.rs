@@ -3,7 +3,6 @@
 use pmcf_ds::accumulator::GradientAccumulator;
 use pmcf_ds::gradient::flat_max;
 use pmcf_ds::heavy_hitter::HeavyHitter;
-use pmcf_ds::sorted_list::SortedList;
 use pmcf_ds::tau_sampler::TauSampler;
 use pmcf_graph::generators;
 use pmcf_pram::Tracker;
@@ -96,36 +95,6 @@ proptest! {
         for i in 0..m {
             prop_assert!((exact[i] - dense[i]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn sorted_list_behaves_like_btreeset(
-        ops in prop::collection::vec((0u8..3, prop::collection::vec(-50i64..50, 0..6)), 1..30),
-    ) {
-        let mut t = Tracker::new();
-        let mut l: SortedList<i64> = SortedList::new();
-        let mut reference = std::collections::BTreeSet::new();
-        for (op, items) in &ops {
-            match op {
-                0 => {
-                    l.insert(&mut t, items.iter().copied());
-                    reference.extend(items.iter().copied());
-                }
-                1 => {
-                    l.delete(&mut t, items);
-                    for x in items {
-                        reference.remove(x);
-                    }
-                }
-                _ => {
-                    let got = l.search(&mut t, items);
-                    for (x, g) in items.iter().zip(got) {
-                        prop_assert_eq!(g, reference.contains(x));
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(l.retrieve_all(&mut t), reference.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,10 +18,8 @@
 //!   decomposition (Lemma 3.1).
 
 pub mod boosting;
-pub mod certificate;
 pub mod conductance;
 pub mod dynamic;
-pub mod dynamic_vertex;
 pub mod pruning;
 pub mod static_decomp;
 pub mod trimming;

@@ -45,7 +45,6 @@ const PAR_CUTOFF: usize = 32;
 /// derived per node from the recursion path (not from visit order), so
 /// the output is deterministic and independent of thread scheduling.
 pub fn vertex_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<Vec<Vertex>> {
-    let _trace = pmcf_obs::trace_scope("expander/vertex-decompose");
     let all: Vec<Vertex> = (0..g.n()).collect();
     decompose_subset(t, g, phi, all, mix_salt(seed, 0))
 }
@@ -122,7 +121,6 @@ fn decompose_subset(
 /// `g` lands in exactly one part, each part's subgraph is a `φ`-expander,
 /// and each vertex appears in `O(log)` many parts.
 pub fn edge_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<ExpanderPart> {
-    let _trace = pmcf_obs::trace_scope("expander/edge-decompose");
     let mut parts = Vec::new();
     // Edge ids still unassigned.
     let mut remaining: Vec<EdgeId> = (0..g.m()).collect();

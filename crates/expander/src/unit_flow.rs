@@ -361,7 +361,6 @@ pub fn parallel_unit_flow(
     max_sweeps: usize,
 ) -> UnitFlowOutcome {
     t.span("expander/unit-flow", |t| {
-        let _trace = pmcf_obs::trace_scope("expander/unit-flow");
         t.counter("unitflow.invocations", 1);
         let absorbed_before: f64 = s.absorbed.iter().sum();
 

@@ -17,7 +17,7 @@
 
 use crate::dense::DenseMat;
 use crate::sketch::JlSketch;
-use crate::solver::{LaplacianSolver, RhsSpec};
+use crate::solver::{LaplacianSolver, RhsSpec, SolveParams};
 use pmcf_graph::{incidence, DiGraph};
 use pmcf_pram::{primitives as pp, Cost, Tracker};
 
@@ -66,7 +66,6 @@ pub fn estimate_leverage(
     let (n, m) = (g.n(), g.m());
     assert_eq!(d.len(), m);
     t.span("linalg/leverage", |t| {
-        let _trace = pmcf_obs::trace_scope("linalg/leverage");
         t.counter("leverage.estimates", 1);
         // Hard cap: barrier/sampling weights tolerate constant-factor error,
         // and each sketch row costs a full Laplacian solve.
@@ -96,7 +95,11 @@ pub fn estimate_leverage(
             rhs
         });
         let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
-        let solves = solver.solve_batch_with(t, d, &specs, None, Some(ws));
+        let params = SolveParams {
+            ws: Some(ws),
+            ..Default::default()
+        };
+        let solves = solver.solve_batch(t, d, &specs, &params);
         let results: Vec<Vec<f64>> = t.parallel(r, |i, t| {
             let mut az = ws.take(t, m);
             incidence::apply_a_into(t, g, &solves[i].0, &mut az);

@@ -21,7 +21,7 @@
 //!   while a [`LaplacianSolver::retarget`] to a different graph can
 //!   never serve a stale diagonal even if the caller reuses a
 //!   generation.
-//! * **Warm starts** — [`SolveParams::guess`] seeds CG from a previous
+//! * **Warm starts** — [`RhsSpec::guess`] seeds CG from a previous
 //!   solution (`D` drifts slowly along the central path, so the previous
 //!   Newton direction is close). A guess is accepted only if it strictly
 //!   beats the zero start (`‖b − Lx₀‖ < ‖b‖`), so a stale guess can never
@@ -89,16 +89,13 @@ pub struct Precond {
     minv: Arc<Vec<f64>>,
 }
 
-/// Per-call knobs for [`LaplacianSolver::solve_with`].
+/// Per-call knobs shared by [`LaplacianSolver::solve_with`],
+/// [`LaplacianSolver::solve_batch`] and [`LaplacianSolver::solve_pair`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveParams<'a> {
     /// Override the solver's construction-time options (per-phase
     /// adaptive tolerance); `None` uses the defaults.
     pub opts: Option<SolverOpts>,
-    /// Warm-start guess (usually the previous Newton step's solution).
-    /// Ignored unless it has length `n` and strictly beats the zero
-    /// start.
-    pub guess: Option<&'a [f64]>,
     /// Generation number of `d` for the preconditioner cache: callers
     /// that solve repeatedly against an unchanged `d` pass the same
     /// generation and skip the rebuild. `None` bypasses the cache.
@@ -111,12 +108,14 @@ pub struct SolveParams<'a> {
     pub ws: Option<&'a Workspace>,
 }
 
-/// One right-hand side of a batched solve.
+/// One right-hand side and its optional warm start.
 #[derive(Clone, Copy, Debug)]
 pub struct RhsSpec<'a> {
     /// The right-hand side vector (`b[ground]` is ignored).
     pub b: &'a [f64],
-    /// Optional warm-start guess for this RHS.
+    /// Warm-start guess (usually the previous Newton step's solution).
+    /// Ignored unless it has length `n` and strictly beats the zero
+    /// start.
     pub guess: Option<&'a [f64]>,
 }
 
@@ -139,7 +138,7 @@ pub struct LaplacianSolver {
     cache: Mutex<Option<PrecondCacheEntry>>,
     /// Fallback buffer pool for callers that don't supply
     /// [`SolveParams::ws`]; shared across the fork-join branches of
-    /// [`LaplacianSolver::solve_batch`].
+    /// [`LaplacianSolver::solve_batch`] and [`LaplacianSolver::solve_pair`].
     ws: Workspace,
 }
 
@@ -269,24 +268,24 @@ impl LaplacianSolver {
     /// Profiled under the `linalg/solve` span; each call feeds the
     /// `solver.solves` counter and the `solver.cg_iterations` histogram.
     pub fn solve(&self, t: &mut Tracker, d: &[f64], b: &[f64]) -> (Vec<f64>, SolveStats) {
-        self.solve_with(t, d, b, &SolveParams::default())
+        self.solve_with(t, d, &RhsSpec { b, guess: None }, &SolveParams::default())
     }
 
-    /// [`LaplacianSolver::solve`] with per-call parameters: adaptive
-    /// tolerance, warm-start guess, and preconditioner-cache generation.
+    /// [`LaplacianSolver::solve`] with a warm-start guess and per-call
+    /// parameters: adaptive tolerance, preconditioner-cache generation,
+    /// and buffer pool.
     pub fn solve_with(
         &self,
         t: &mut Tracker,
         d: &[f64],
-        b: &[f64],
+        rhs: &RhsSpec<'_>,
         params: &SolveParams<'_>,
     ) -> (Vec<f64>, SolveStats) {
         t.span("linalg/solve", |t| {
-            let _trace = pmcf_obs::trace_scope("linalg/solve");
             let opts = params.opts.unwrap_or(self.opts);
             let ws = params.ws.unwrap_or(&self.ws);
             let pc = self.precondition(t, d, params.d_gen);
-            let (x, stats) = self.cg(t, d, b, &pc, params.guess, &opts, ws);
+            let (x, stats) = self.cg(t, d, rhs.b, &pc, rhs.guess, &opts, ws);
             self.record_solve(t, &stats);
             pmcf_obs::emit_with("solver.solve", || {
                 vec![
@@ -305,105 +304,53 @@ impl LaplacianSolver {
 
     /// Solve several right-hand sides against one diagonal `d`.
     ///
-    /// The preconditioner is built once; the per-RHS CG runs are
-    /// independent parallel branches (charged with `par` composition and
-    /// really executed on the pool when it has threads). Used by
-    /// `robust.rs` (two RHS per Newton step against the same matrix) and
+    /// The preconditioner is built once (or fetched from the cache under
+    /// [`SolveParams::d_gen`]); the per-RHS CG runs are independent
+    /// parallel branches (charged with `par` composition and really
+    /// executed on the pool when it has threads). Used by
     /// `estimate_leverage` (r sketch RHS).
     pub fn solve_batch(
         &self,
         t: &mut Tracker,
         d: &[f64],
         rhss: &[RhsSpec<'_>],
-        opts: Option<SolverOpts>,
-    ) -> Vec<(Vec<f64>, SolveStats)> {
-        self.solve_batch_with(t, d, rhss, opts, None)
-    }
-
-    /// [`LaplacianSolver::solve_batch`] drawing scratch (and the returned
-    /// solution vectors) from a caller-supplied [`Workspace`] instead of
-    /// the solver's internal arena — the zero-allocation path for IPM
-    /// loops that batch-solve against short-lived sparsifier solvers.
-    pub fn solve_batch_with(
-        &self,
-        t: &mut Tracker,
-        d: &[f64],
-        rhss: &[RhsSpec<'_>],
-        opts: Option<SolverOpts>,
-        ws: Option<&Workspace>,
-    ) -> Vec<(Vec<f64>, SolveStats)> {
-        self.solve_batch_keyed(t, d, rhss, opts, None, ws)
-    }
-
-    /// [`LaplacianSolver::solve_batch_with`] plus a preconditioner-cache
-    /// generation for `d` ([`SolveParams::d_gen`] semantics): callers that
-    /// batch-solve repeatedly against a slowly-changing diagonal — the
-    /// robust IPM's epoch-persistent sparsifier — pass the same generation
-    /// while `d` is unchanged and skip the Jacobi rebuild entirely.
-    pub fn solve_batch_keyed(
-        &self,
-        t: &mut Tracker,
-        d: &[f64],
-        rhss: &[RhsSpec<'_>],
-        opts: Option<SolverOpts>,
-        d_gen: Option<u64>,
-        ws: Option<&Workspace>,
+        params: &SolveParams<'_>,
     ) -> Vec<(Vec<f64>, SolveStats)> {
         t.span("linalg/solve-batch", |t| {
-            let _trace = pmcf_obs::trace_scope("linalg/solve-batch");
-            let opts = opts.unwrap_or(self.opts);
-            let ws = ws.unwrap_or(&self.ws);
-            let pc = self.precondition(t, d, d_gen);
+            let opts = params.opts.unwrap_or(self.opts);
+            let ws = params.ws.unwrap_or(&self.ws);
+            let pc = self.precondition(t, d, params.d_gen);
             // All branches draw scratch from one shared arena — the pool
             // is internally synchronized, so concurrent checkouts never
             // alias and every branch's buffers recycle.
             let results = t.parallel(rhss.len(), |i, t| {
                 self.cg(t, d, rhss[i].b, &pc, rhss[i].guess, &opts, ws)
             });
-            let mut total_iters = 0u64;
-            let mut warm_hits = 0u64;
-            for (_, stats) in &results {
-                self.record_solve(t, stats);
-                total_iters += stats.iterations as u64;
-                warm_hits += stats.warm_start as u64;
-            }
-            pmcf_obs::emit_with("solver.batch", || {
-                vec![
-                    ("n", self.graph.n().into()),
-                    ("m", self.graph.m().into()),
-                    ("rhs", rhss.len().into()),
-                    ("iterations", total_iters.into()),
-                    ("warm_start_hits", warm_hits.into()),
-                    ("tol", opts.tol.into()),
-                ]
-            });
+            self.record_batch(t, results.iter().map(|(_, st)| st), &opts);
             results
         })
     }
 
-    /// Two-RHS special case of [`LaplacianSolver::solve_batch_keyed`]
-    /// that never allocates once the workspace is warm: the IPM's Newton
-    /// step solves exactly two systems (`dy` and `δ_c` correction)
+    /// Two-RHS special case of [`LaplacianSolver::solve_batch`] that
+    /// never allocates once the workspace is warm: the robust IPM's step
+    /// solves exactly two systems (`δ_y` and the `δ_c` correction)
     /// against one diagonal every iteration, and the general batch path
     /// pays per-call `Vec`s for branch trackers and results. Charges,
     /// span tree, counters, and the `solver.batch` event are
-    /// bit-identical to `solve_batch_keyed` with the same two specs.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    pub fn solve_pair_keyed(
+    /// bit-identical to `solve_batch` with the same two specs.
+    #[allow(clippy::type_complexity)]
+    pub fn solve_pair(
         &self,
         t: &mut Tracker,
         d: &[f64],
         ra: &RhsSpec<'_>,
         rb: &RhsSpec<'_>,
-        opts: Option<SolverOpts>,
-        d_gen: Option<u64>,
-        ws: Option<&Workspace>,
+        params: &SolveParams<'_>,
     ) -> ((Vec<f64>, SolveStats), (Vec<f64>, SolveStats)) {
         t.span("linalg/solve-batch", |t| {
-            let _trace = pmcf_obs::trace_scope("linalg/solve-batch");
-            let opts = opts.unwrap_or(self.opts);
-            let ws = ws.unwrap_or(&self.ws);
-            let pc = self.precondition(t, d, d_gen);
+            let opts = params.opts.unwrap_or(self.opts);
+            let ws = params.ws.unwrap_or(&self.ws);
+            let pc = self.precondition(t, d, params.d_gen);
             // par_join forks exactly when `parallel(2, ..)` would, and
             // merge_pair charges exactly as merge_branches over two
             // branches — the batch path's accounting, minus its Vecs.
@@ -411,25 +358,37 @@ impl LaplacianSolver {
                 |t| self.cg(t, d, ra.b, &pc, ra.guess, &opts, ws),
                 |t| self.cg(t, d, rb.b, &pc, rb.guess, &opts, ws),
             );
-            let mut total_iters = 0u64;
-            let mut warm_hits = 0u64;
-            for (_, stats) in [&a, &b] {
-                self.record_solve(t, stats);
-                total_iters += stats.iterations as u64;
-                warm_hits += stats.warm_start as u64;
-            }
-            pmcf_obs::emit_with("solver.batch", || {
-                vec![
-                    ("n", self.graph.n().into()),
-                    ("m", self.graph.m().into()),
-                    ("rhs", 2usize.into()),
-                    ("iterations", total_iters.into()),
-                    ("warm_start_hits", warm_hits.into()),
-                    ("tol", opts.tol.into()),
-                ]
-            });
+            self.record_batch(t, [&a.1, &b.1], &opts);
             (a, b)
         })
+    }
+
+    /// Per-solve counters for each branch of a batch, then one
+    /// `solver.batch` summary event from the calling thread (pool
+    /// threads carry no flight recorder).
+    fn record_batch<'s>(
+        &self,
+        t: &mut Tracker,
+        stats: impl IntoIterator<Item = &'s SolveStats>,
+        opts: &SolverOpts,
+    ) {
+        let (mut rhs, mut total_iters, mut warm_hits) = (0usize, 0u64, 0u64);
+        for st in stats {
+            self.record_solve(t, st);
+            rhs += 1;
+            total_iters += st.iterations as u64;
+            warm_hits += st.warm_start as u64;
+        }
+        pmcf_obs::emit_with("solver.batch", || {
+            vec![
+                ("n", self.graph.n().into()),
+                ("m", self.graph.m().into()),
+                ("rhs", rhs.into()),
+                ("iterations", total_iters.into()),
+                ("warm_start_hits", warm_hits.into()),
+                ("tol", opts.tol.into()),
+            ]
+        });
     }
 
     fn record_solve(&self, t: &mut Tracker, stats: &SolveStats) {
@@ -745,11 +704,11 @@ mod tests {
         let (_, warm) = solver.solve_with(
             &mut t,
             &d,
-            &b,
-            &SolveParams {
+            &RhsSpec {
+                b: &b,
                 guess: Some(&x),
-                ..Default::default()
             },
+            &SolveParams::default(),
         );
         assert!(warm.warm_start, "exact guess must be accepted");
         assert!(
@@ -773,11 +732,11 @@ mod tests {
         let (x_warm, warm) = solver.solve_with(
             &mut t,
             &d,
-            &b,
-            &SolveParams {
+            &RhsSpec {
+                b: &b,
                 guess: Some(&garbage),
-                ..Default::default()
             },
+            &SolveParams::default(),
         );
         assert!(!warm.warm_start, "garbage guess must be rejected");
         assert_eq!(warm.iterations, cold.iterations);
@@ -801,7 +760,7 @@ mod tests {
         let solver = LaplacianSolver::new(g, 0, SolverOpts::default());
         let mut t = Tracker::new();
         let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
-        let batch = solver.solve_batch(&mut t, &d, &specs, None);
+        let batch = solver.solve_batch(&mut t, &d, &specs, &SolveParams::default());
         for (b, (xb, _)) in rhss.iter().zip(&batch) {
             let (xs, _) = solver.solve(&mut t, &d, b);
             for (a, c) in xb.iter().zip(&xs) {
@@ -823,8 +782,9 @@ mod tests {
             d_gen: Some(7),
             ..Default::default()
         };
-        let _ = solver.solve_with(&mut t, &d, &b, &params);
-        let _ = solver.solve_with(&mut t, &d, &b, &params);
+        let rhs = RhsSpec { b: &b, guess: None };
+        let _ = solver.solve_with(&mut t, &d, &rhs, &params);
+        let _ = solver.solve_with(&mut t, &d, &rhs, &params);
         let rep = t.profile_report().unwrap();
         assert_eq!(rep.counters["solver.precond_builds"], 1);
         assert_eq!(rep.counters["solver.precond_hits"], 1);
@@ -852,11 +812,12 @@ mod tests {
             d_gen: Some(7),
             ..Default::default()
         };
-        let _ = solver.solve_with(&mut t, &d, &b, &params);
+        let rhs = RhsSpec { b: &b, guess: None };
+        let _ = solver.solve_with(&mut t, &d, &rhs, &params);
         let fp_a = solver.topology();
         solver.retarget(gb.clone(), 0);
         assert_ne!(fp_a, solver.topology(), "fingerprint must change");
-        let (x_retargeted, _) = solver.solve_with(&mut t, &d, &b, &params);
+        let (x_retargeted, _) = solver.solve_with(&mut t, &d, &rhs, &params);
         let rep = t.profile_report().unwrap();
         assert_eq!(
             rep.counters["solver.precond_builds"], 2,
@@ -867,7 +828,7 @@ mod tests {
         // The retargeted solve matches a fresh solver on the new graph.
         let fresh = LaplacianSolver::new(gb, 0, SolverOpts::default());
         let mut t2 = Tracker::new();
-        let (x_fresh, _) = fresh.solve_with(&mut t2, &d, &b, &params);
+        let (x_fresh, _) = fresh.solve_with(&mut t2, &d, &rhs, &params);
         for (a, c) in x_retargeted.iter().zip(&x_fresh) {
             assert!((a - c).abs() < 1e-8, "retargeted {} vs fresh {}", a, c);
         }

@@ -100,9 +100,9 @@ proptest! {
     ) {
         let gen = (gen_raw > 0).then_some(gen_raw);
         // The robust IPM's per-step two-RHS solve goes through the
-        // allocation-free `solve_pair_keyed`; its charged work/depth,
+        // allocation-free `solve_pair`; its charged work/depth,
         // solutions, and stats must be bit-identical to the general
-        // `solve_batch_keyed` with the same two specs — on every thread
+        // `solve_batch` with the same two specs — on every thread
         // count and ParMode (the pair path forks exactly when the batch
         // path would, and charges are execution-independent).
         let m = 3 * n;
@@ -120,11 +120,14 @@ proptest! {
         // call hit the first's preconditioner cache and charge less
         let solver_b = LaplacianSolver::new(g.clone(), 0, SolverOpts::default());
         let solver_p = LaplacianSolver::new(g, 0, SolverOpts::default());
+        let params = pmcf_linalg::solver::SolveParams {
+            d_gen: gen,
+            ..Default::default()
+        };
         let mut tb = Tracker::new();
-        let batch = solver_b.solve_batch_keyed(&mut tb, &d, &specs, None, gen, None);
+        let batch = solver_b.solve_batch(&mut tb, &d, &specs, &params);
         let mut tp = Tracker::new();
-        let ((x1, s1), (x2, s2)) =
-            solver_p.solve_pair_keyed(&mut tp, &d, &specs[0], &specs[1], None, gen, None);
+        let ((x1, s1), (x2, s2)) = solver_p.solve_pair(&mut tp, &d, &specs[0], &specs[1], &params);
         prop_assert_eq!(tp.work(), tb.work());
         prop_assert_eq!(tp.depth(), tb.depth());
         prop_assert_eq!(s1.iterations, batch[0].1.iterations);

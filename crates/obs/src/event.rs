@@ -54,7 +54,7 @@ impl Value {
         }
     }
 
-    fn render(&self, out: &mut String) {
+    pub(crate) fn render(&self, out: &mut String) {
         match self {
             Value::U64(v) => out.push_str(&v.to_string()),
             Value::I64(v) => out.push_str(&v.to_string()),

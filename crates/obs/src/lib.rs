@@ -1,6 +1,6 @@
 //! `pmcf-obs`: observability for the parallel min-cost-flow stack.
 //!
-//! Three pieces, layered bottom-up:
+//! Five pieces, layered bottom-up:
 //!
 //! 1. **Flight recorder** ([`recorder`]) — a bounded in-memory ring of
 //!    [`Event`]s fed by `emit` calls sprinkled through the solver
@@ -14,18 +14,22 @@
 //!    proves: μ-monotonicity, centrality bounds, certified conductance,
 //!    tracker reconciliation, and the `√n·polylog` iteration envelope.
 //! 4. **Trace exporter** ([`tracevent`]) — `PMCF_TRACE=1` turns the
-//!    thread pool's wall-clock telemetry plus [`trace_scope`]
-//!    annotations into a Perfetto-loadable Chrome trace-event file.
+//!    thread pool's wall-clock telemetry plus the slice of every
+//!    `Tracker::span` closed during the run into a Perfetto-loadable
+//!    Chrome trace-event file.
 //! 5. **Unified run reports** ([`report`]) — `PMCF_REPORT=<path>` ties
 //!    one run's span profile, critical path, counters, pool telemetry,
 //!    monitor verdicts, and per-iteration IPM convergence table into a
 //!    single `pmcf.report/v1` artifact; the [`reportdiff`] engine (and
 //!    the `report_diff` bin) aligns two such reports span-by-span and
-//!    ranks the regressing spans for triage.
+//!    ranks the regressing spans for triage. [`record_ipm_iter`] is the
+//!    one per-iteration call: it feeds both the `ipm.iter` event and the
+//!    report's convergence row.
 //!
-//! The crate depends only on `pmcf-pram` (JSON string escaping) and the
-//! in-tree `rayon` shim (pool telemetry), both of which sit below every
-//! solver crate, so the whole workspace can emit events without cycles.
+//! The crate depends only on `pmcf-pram` (JSON string escaping, span
+//! slices) and the in-tree `rayon` shim (pool telemetry), both of which
+//! sit below every solver crate, so the whole workspace can emit events
+//! without cycles.
 
 #![warn(missing_docs)]
 
@@ -44,11 +48,8 @@ pub use recorder::{
     FlightRecorder,
 };
 pub use report::{
-    record_ipm_iter, report_active, report_begin, report_init_from_env, report_output_path,
+    ipm_iter_listening, record_ipm_iter, report_begin, report_init_from_env, report_output_path,
     take_run_report, IpmIterRow, RunReport, REPORT_ENV, REPORT_SCHEMA,
 };
 pub use reportdiff::{diff_reports, DiffStatus, ReportDiff, SpanDelta, DIFF_SCHEMA};
-pub use tracevent::{
-    trace_finish, trace_init_from_env, trace_scope, tracing_active, TraceScope, TRACE_ENV,
-    TRACE_SCHEMA,
-};
+pub use tracevent::{trace_finish, trace_init_from_env, TRACE_ENV, TRACE_SCHEMA};

@@ -89,31 +89,22 @@ pub fn to_markdown(verdicts: &[Verdict]) -> String {
     out
 }
 
-/// Per-iteration μ events: `ipm.iter` (engine loops) and `ipm.trace`
-/// (TraceRecorder) — monitored as independent streams since a traced
-/// solve emits both.
-fn is_iter_kind(kind: &str) -> bool {
-    kind == "ipm.iter" || kind == "ipm.trace"
-}
-
-/// μ never increases within a solve (each stream kind tracked
-/// separately; `solve.start` resets both).
+/// μ never increases within a solve (`solve.start` resets).
 fn mu_monotone(events: &[Event]) -> Verdict {
     let name = "mu-monotone";
-    let mut last: [Option<f64>; 2] = [None, None];
+    let mut last: Option<f64> = None;
     let mut checked = 0u64;
     for e in events {
         if e.kind == "solve.start" {
-            last = [None, None];
+            last = None;
             continue;
         }
-        if !is_iter_kind(&e.kind) {
+        if e.kind != "ipm.iter" {
             continue;
         }
-        let stream = usize::from(e.kind == "ipm.trace");
         let Some(mu) = e.num("mu") else { continue };
         checked += 1;
-        if let Some(prev) = last[stream] {
+        if let Some(prev) = last {
             if mu > prev * (1.0 + REL_EPS) {
                 return Verdict::fail(
                     name,
@@ -122,7 +113,7 @@ fn mu_monotone(events: &[Event]) -> Verdict {
                 );
             }
         }
-        last[stream] = Some(mu);
+        last = Some(mu);
     }
     Verdict::pass(name, checked, format!("{checked} μ samples non-increasing"))
 }
@@ -211,7 +202,7 @@ fn tracker_reconciliation(events: &[Event]) -> Verdict {
             continue;
         }
         let is_end = e.kind == "solve.end";
-        if !is_iter_kind(&e.kind) && !is_end {
+        if e.kind != "ipm.iter" && !is_end {
             continue;
         }
         let (Some(work), Some(depth)) = (e.num("work"), e.num("depth")) else {
@@ -378,18 +369,6 @@ mod tests {
             ev("ipm.iter", vec![("mu", 1.0.into())]),
             ev("solve.start", vec![]),
             ev("ipm.iter", vec![("mu", 50.0.into())]), // fresh solve: fine
-        ];
-        assert!(mu_monotone(&events).ok);
-    }
-
-    #[test]
-    fn trace_and_iter_streams_are_independent() {
-        // a traced solve interleaves both kinds with the trace lagging
-        let events = vec![
-            ev("ipm.iter", vec![("mu", 10.0.into())]),
-            ev("ipm.trace", vec![("mu", 10.0.into())]),
-            ev("ipm.iter", vec![("mu", 5.0.into())]),
-            ev("ipm.trace", vec![("mu", 5.0.into())]),
         ];
         assert!(mu_monotone(&events).ok);
     }

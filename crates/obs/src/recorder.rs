@@ -22,8 +22,6 @@ use std::sync::Once;
 
 /// Environment variable naming the JSONL output path.
 pub const EVENTS_ENV: &str = "PMCF_EVENTS";
-/// Environment variable overriding the ring capacity.
-pub const EVENTS_CAP_ENV: &str = "PMCF_EVENTS_CAP";
 /// Default ring capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
@@ -200,18 +198,14 @@ pub fn with_recorder<T>(f: impl FnOnce(&mut FlightRecorder) -> T) -> Option<T> {
 }
 
 /// Install a recorder from the environment: when `PMCF_EVENTS=<path>` is
-/// set, record into a ring of `PMCF_EVENTS_CAP` (default 65536) events,
-/// dump to `<path>` on [`finish`] and — via a process-wide panic hook —
-/// on panic. Returns whether recording was enabled.
+/// set, record into a ring of [`DEFAULT_CAPACITY`] events, dump to
+/// `<path>` on [`finish`] and — via a process-wide panic hook — on
+/// panic. Returns whether recording was enabled.
 pub fn init_from_env() -> bool {
     let Some(path) = std::env::var_os(EVENTS_ENV).filter(|p| !p.is_empty()) else {
         return false;
     };
-    let cap = std::env::var(EVENTS_CAP_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_CAPACITY);
-    let mut rec = FlightRecorder::new(cap);
+    let mut rec = FlightRecorder::new(DEFAULT_CAPACITY);
     rec.output = Some(std::path::PathBuf::from(path));
     install(rec);
     PANIC_HOOK.call_once(|| {

@@ -13,7 +13,8 @@
 //!
 //! * **Environment** — set `PMCF_REPORT=<path>` and call
 //!   [`report_init_from_env`] at process start; both IPM loops then feed
-//!   [`record_ipm_iter`], and `tracker_from_env` (in `pmcf-pram`)
+//!   [`record_ipm_iter`] (which also emits the `ipm.iter` event when a
+//!   flight recorder is installed), and `tracker_from_env` (in `pmcf-pram`)
 //!   switches the span profiler and depth ledger on automatically. At
 //!   the end of the run, [`take_run_report`] +
 //!   [`RunReport::absorb_tracker`] + [`RunReport::write`] land the
@@ -25,9 +26,10 @@
 //! ([`RunReport::from_json`]), which is what the cross-run diff engine
 //! ([`crate::reportdiff`]) consumes.
 //!
-//! Collector overhead when disabled is one relaxed atomic load per IPM
-//! iteration — the same discipline as the flight recorder.
+//! With neither a report nor a flight recorder listening, an IPM
+//! iteration costs two relaxed atomic loads and builds no row.
 
+use crate::event::Value;
 use crate::monitor::{run_monitors, Verdict};
 use crate::recorder::{self, FlightRecorder, DEFAULT_CAPACITY};
 use pmcf_pram::profile::{json_string, SpanReport};
@@ -97,7 +99,8 @@ impl ReportSpan {
     }
 }
 
-/// One row of the per-iteration IPM convergence table.
+/// One IPM iteration: a row of the report's convergence table and the
+/// payload of the `ipm.iter` event (see [`IpmIterRow::fields`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct IpmIterRow {
     /// Engine that ran the iteration (`"reference"` / `"robust"`).
@@ -115,6 +118,36 @@ pub struct IpmIterRow {
     pub cg_iters: u64,
     /// Wall nanoseconds for this IPM iteration.
     pub wall_ns: u64,
+    /// Cumulative charged work at the end of the iteration (0 in
+    /// reports written before this column existed).
+    pub work: u64,
+    /// Cumulative charged depth at the end of the iteration (0 in
+    /// reports written before this column existed).
+    pub depth: u64,
+}
+
+impl IpmIterRow {
+    /// The row as named fields, in serialization order: the `ipm.iter`
+    /// event's fields and the keys of the report's convergence object.
+    /// `step` is left out when the engine took no centering step.
+    pub fn fields(&self) -> Vec<(&'static str, Value)> {
+        let mut fields = vec![
+            ("engine", Value::from(self.engine.as_str())),
+            ("iteration", self.iteration.into()),
+            ("mu", self.mu.into()),
+            ("gap", self.gap.into()),
+        ];
+        if let Some(step) = self.step {
+            fields.push(("step", step.into()));
+        }
+        fields.extend([
+            ("cg_iters", self.cg_iters.into()),
+            ("wall_ns", self.wall_ns.into()),
+            ("work", self.work.into()),
+            ("depth", self.depth.into()),
+        ]);
+        fields
+    }
 }
 
 /// Critical-path attribution carried by a report (a flattened
@@ -314,17 +347,16 @@ impl RunReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"engine\":{},\"iteration\":{},\"mu\":{},\"gap\":{},\"step\":{},\
-                 \"cg_iters\":{},\"wall_ns\":{}}}",
-                json_string(&r.engine),
-                r.iteration,
-                fmt_f64(r.mu),
-                fmt_f64(r.gap),
-                r.step.map(fmt_f64).unwrap_or_else(|| "null".to_string()),
-                r.cg_iters,
-                r.wall_ns
-            ));
+            out.push('{');
+            for (j, (k, v)) in r.fields().iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(&json_string(k));
+                out.push(':');
+                v.render(&mut out);
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -437,6 +469,8 @@ impl RunReport {
                     },
                     cg_iters: u64_field(r, "cg_iters")?,
                     wall_ns: u64_field(r, "wall_ns")?,
+                    work: r.get("work").map_or(Ok(0), |_| u64_field(r, "work"))?,
+                    depth: r.get("depth").map_or(Ok(0), |_| u64_field(r, "depth"))?,
                 })
             })
             .collect::<Result<_, String>>()?;
@@ -530,7 +564,7 @@ fn lock_collector() -> std::sync::MutexGuard<'static, CollectorState> {
 
 /// Whether a run report is currently being collected.
 #[inline]
-pub fn report_active() -> bool {
+fn report_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
@@ -566,30 +600,32 @@ pub fn report_init_from_env() -> bool {
     true
 }
 
-/// Record one IPM iteration into the active report (no-op when no report
-/// is being collected — one relaxed atomic load).
+/// Whether [`record_ipm_iter`] has a sink: a flight recorder on this
+/// thread or a report being collected. Engines time an iteration only
+/// when one is listening.
 #[inline]
-pub fn record_ipm_iter(
-    engine: &str,
-    iteration: u64,
-    mu: f64,
-    gap: f64,
-    step: Option<f64>,
-    cg_iters: u64,
-    wall_ns: u64,
-) {
-    if !ACTIVE.load(Ordering::Relaxed) {
+pub fn ipm_iter_listening() -> bool {
+    report_active() || recorder::recording()
+}
+
+/// Record one IPM iteration — the engines' only per-iteration record.
+/// The row becomes an `ipm.iter` event when a flight recorder is
+/// installed on this thread and a convergence row when a report is
+/// being collected. `row` runs only when one of them is listening.
+#[inline]
+pub fn record_ipm_iter(row: impl FnOnce() -> IpmIterRow) {
+    let report = report_active();
+    let events = recorder::recording();
+    if !(report || events) {
         return;
     }
-    lock_collector().rows.push(IpmIterRow {
-        engine: engine.to_string(),
-        iteration,
-        mu,
-        gap,
-        step,
-        cg_iters,
-        wall_ns,
-    });
+    let row = row();
+    if events {
+        recorder::emit("ipm.iter", row.fields());
+    }
+    if report {
+        lock_collector().rows.push(row);
+    }
 }
 
 /// Finish collecting: deactivate and assemble a [`RunReport`] named
@@ -647,10 +683,24 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn row(engine: &str, step: Option<f64>, cg_iters: u64) -> IpmIterRow {
+        IpmIterRow {
+            engine: engine.to_string(),
+            iteration: 1,
+            mu: 64.0,
+            gap: 128.0,
+            step,
+            cg_iters,
+            wall_ns: 1000,
+            work: 500,
+            depth: 20,
+        }
+    }
+
     fn sample_report() -> RunReport {
         report_begin();
-        record_ipm_iter("reference", 1, 64.0, 128.0, Some(0.5), 12, 1000);
-        record_ipm_iter("robust", 1, 64.0, 96.5, None, 7, 900);
+        record_ipm_iter(|| row("reference", Some(0.5), 12));
+        record_ipm_iter(|| row("robust", None, 7));
         let mut rep = take_run_report("sample").unwrap();
         let mut t = Tracker::profiled().with_critpath();
         t.span("ipm/loop", |t| {
@@ -683,8 +733,42 @@ mod tests {
     fn record_without_begin_is_noop() {
         let _g = locked();
         let _ = take_run_report("drain"); // clear any leftover collection
-        record_ipm_iter("reference", 1, 1.0, 1.0, None, 0, 0);
+        record_ipm_iter(|| panic!("no sink is listening"));
         assert!(take_run_report("x").is_none());
+    }
+
+    #[test]
+    fn one_record_feeds_event_ring_and_report() {
+        let _g = locked();
+        report_begin();
+        recorder::install(FlightRecorder::new(16));
+        let r = row("robust", Some(0.75), 3);
+        record_ipm_iter(|| r.clone());
+        let rec = recorder::uninstall().expect("recorder installed");
+        let rep = take_run_report("both").unwrap();
+        assert_eq!(rep.convergence, vec![r.clone()]);
+        let events = rec.snapshot();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "ipm.iter");
+        let want: Vec<(String, Value)> = r
+            .fields()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(events[0].fields, want);
+        assert_eq!(events[0].num("work"), Some(500.0));
+        assert_eq!(events[0].num("depth"), Some(20.0));
+    }
+
+    #[test]
+    fn rows_without_costs_load_as_zero() {
+        let src = r#"{"schema":"pmcf.report/v1","name":"old","threads":1,"work":0,"depth":0,
+            "convergence":[{"engine":"reference","iteration":1,"mu":2e0,"gap":4e0,
+            "step":null,"cg_iters":3,"wall_ns":9}]}"#;
+        let rep = RunReport::from_json(src).unwrap();
+        assert_eq!(rep.convergence.len(), 1);
+        assert_eq!((rep.convergence[0].work, rep.convergence[0].depth), (0, 0));
+        assert_eq!(rep.convergence[0].step, None);
     }
 
     #[test]

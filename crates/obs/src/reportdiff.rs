@@ -777,6 +777,8 @@ mod tests {
             step: Some(0.5),
             cg_iters: 100,
             wall_ns: 5,
+            work: 0,
+            depth: 0,
         });
         let mut cand = report("cand", vec![]);
         cand.counters.insert("pmcf.alloc.fresh".into(), 2);
@@ -789,6 +791,8 @@ mod tests {
             step: Some(0.5),
             cg_iters: 60,
             wall_ns: 4,
+            work: 0,
+            depth: 0,
         });
         cand.convergence.push(IpmIterRow {
             engine: "robust".into(),
@@ -798,6 +802,8 @@ mod tests {
             step: Some(0.5),
             cg_iters: 50,
             wall_ns: 4,
+            work: 0,
+            depth: 0,
         });
         let d = diff_reports(&base, &cand);
         let fresh = d

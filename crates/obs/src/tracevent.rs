@@ -1,20 +1,23 @@
 //! Chrome trace-event exporter (`PMCF_TRACE`).
 //!
 //! Turns the rayon shim's wall-clock pool telemetry — per-thread busy
-//! slices, fork/join/steal counters — plus named annotation spans from
-//! the solver layers into a single Chrome trace-event JSON file that
-//! loads directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
+//! slices, fork/join/steal counters — plus the wall-clock slice of every
+//! `Tracker::span` closed during the session into a single Chrome
+//! trace-event JSON file that loads directly in Perfetto
+//! (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
 //! Set `PMCF_TRACE=1` (default path `pmcf-trace.json`) or
 //! `PMCF_TRACE=<path>` before running an instrumented binary. The bench
 //! bins call [`trace_init_from_env`] at startup and [`trace_finish`] on
-//! exit; library code marks interesting regions with [`trace_scope`],
-//! which is a no-op (one relaxed atomic load) unless tracing is active.
+//! exit. Library code needs no trace-specific call: the span guard
+//! records its own slice while a session is open
+//! ([`pmcf_pram::annotation`]), and costs one relaxed atomic load when
+//! none is.
 //!
-//! Annotations and pool slices share a timeline: both are timestamped
+//! Span slices and pool slices share a timeline: both are timestamped
 //! via [`rayon::telemetry::now_ns`] against the same process-global
-//! epoch, and annotations recorded on a pool worker carry that worker's
-//! dense thread id, so a `solve/newton` span drawn on thread 3 sits
+//! epoch, and a span closed on a pool worker carries that worker's
+//! dense thread id, so a `linalg/solve` span drawn on thread 3 sits
 //! directly above the `worker` slices thread 3 executed inside it.
 //!
 //! The file is the standard trace-event "JSON object format":
@@ -33,9 +36,9 @@
 //! preserved). `otherData.schema` marks the file as ours for the CI
 //! smoke check; Perfetto ignores unknown keys.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use pmcf_pram::annotation::{self, Annotation};
 use pmcf_pram::profile::json_string;
 use rayon::telemetry::{self, PoolTelemetry};
 
@@ -45,40 +48,12 @@ pub const TRACE_ENV: &str = "PMCF_TRACE";
 pub const DEFAULT_TRACE_PATH: &str = "pmcf-trace.json";
 /// Schema tag stored under `otherData.schema`.
 pub const TRACE_SCHEMA: &str = "pmcf.trace/v1";
-/// Maximum annotation spans retained per trace (overflow is counted).
-pub const ANNOTATION_CAP: usize = 1 << 16;
 
-static ANNOTATING: AtomicBool = AtomicBool::new(false);
+/// Output path captured by [`trace_start`].
+static TRACE_PATH: Mutex<Option<String>> = Mutex::new(None);
 
-/// One named span recorded by [`trace_scope`].
-#[derive(Clone, Debug)]
-pub struct Annotation {
-    /// Span name, e.g. `"ipm/newton"`.
-    pub name: String,
-    /// Dense thread id from [`rayon::telemetry::current_tid`].
-    pub tid: usize,
-    /// Start, nanoseconds since the shared telemetry epoch.
-    pub start_ns: u64,
-    /// End, nanoseconds since the shared telemetry epoch.
-    pub end_ns: u64,
-}
-
-#[derive(Default)]
-struct AnnotationStore {
-    spans: Vec<Annotation>,
-    dropped: u64,
-    /// Output path captured by [`trace_init_from_env`].
-    path: Option<String>,
-}
-
-static ANNOTATIONS: Mutex<AnnotationStore> = Mutex::new(AnnotationStore {
-    spans: Vec::new(),
-    dropped: 0,
-    path: None,
-});
-
-fn annotations() -> std::sync::MutexGuard<'static, AnnotationStore> {
-    ANNOTATIONS.lock().unwrap_or_else(|e| e.into_inner())
+fn trace_path() -> std::sync::MutexGuard<'static, Option<String>> {
+    TRACE_PATH.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Resolve `PMCF_TRACE` to an output path: unset/`0`/`false`/`off` →
@@ -94,65 +69,14 @@ pub fn trace_path_from_env() -> Option<String> {
     }
 }
 
-/// Whether annotation recording is currently active.
-#[inline]
-pub fn tracing_active() -> bool {
-    ANNOTATING.load(Ordering::Relaxed)
-}
-
-/// RAII guard returned by [`trace_scope`]; records the span on drop.
-pub struct TraceScope {
-    name: Option<String>,
-    start_ns: u64,
-}
-
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        let Some(name) = self.name.take() else { return };
-        let end_ns = telemetry::now_ns();
-        let tid = telemetry::current_tid();
-        let mut st = annotations();
-        if st.spans.len() < ANNOTATION_CAP {
-            st.spans.push(Annotation {
-                name,
-                tid,
-                start_ns: self.start_ns,
-                end_ns,
-            });
-        } else {
-            st.dropped += 1;
-        }
-    }
-}
-
-/// Mark a named region for the trace timeline. Free when tracing is
-/// off; the returned guard records `[enter, drop]` when it is on.
-#[inline]
-pub fn trace_scope(name: &str) -> TraceScope {
-    if !tracing_active() {
-        return TraceScope {
-            name: None,
-            start_ns: 0,
-        };
-    }
-    TraceScope {
-        name: Some(name.to_string()),
-        start_ns: telemetry::now_ns(),
-    }
-}
-
-/// Start tracing manually (used by tests; binaries use
-/// [`trace_init_from_env`]). Clears previous annotations and resets the
-/// pool's slice buffer so the trace covers exactly one run.
+/// Start a trace session manually (used by tests; binaries use
+/// [`trace_init_from_env`]). Discards earlier span slices and resets
+/// the pool's slice buffer so the trace covers exactly one run.
 pub fn trace_start(path: Option<String>) {
     telemetry::reset();
     telemetry::set_recording(true);
-    let mut st = annotations();
-    st.spans.clear();
-    st.dropped = 0;
-    st.path = path;
-    drop(st);
-    ANNOTATING.store(true, Ordering::Relaxed);
+    *trace_path() = path;
+    annotation::start();
 }
 
 /// Start tracing if `PMCF_TRACE` requests it; returns whether tracing
@@ -170,17 +94,13 @@ pub fn trace_init_from_env() -> bool {
 /// Stop tracing, render the trace, and write it to the path captured at
 /// init (if any). Returns the rendered JSON when tracing was active.
 pub fn trace_finish() -> Option<String> {
-    if !tracing_active() {
+    if !annotation::annotating() {
         return None;
     }
-    ANNOTATING.store(false, Ordering::Relaxed);
+    let (spans, dropped) = annotation::finish();
     telemetry::set_recording(false);
     let pool = telemetry::snapshot();
-    let mut st = annotations();
-    let spans = std::mem::take(&mut st.spans);
-    let dropped = st.dropped;
-    let path = st.path.take();
-    drop(st);
+    let path = trace_path().take();
     let json = render_trace(&pool, &spans, dropped);
     if let Some(path) = path {
         match std::fs::write(&path, &json) {
@@ -284,6 +204,7 @@ pub fn render_trace(pool: &PoolTelemetry, spans: &[Annotation], dropped_spans: u
 mod tests {
     use super::*;
     use crate::json::{self, JsonValue};
+    use pmcf_pram::Tracker;
 
     /// Tracing state is process-global; serialize tests that flip it.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -292,34 +213,15 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[test]
-    fn scope_is_noop_when_inactive() {
-        let _g = lock();
-        ANNOTATING.store(false, Ordering::Relaxed);
-        let before = annotations().spans.len();
-        drop(trace_scope("ignored"));
-        assert_eq!(annotations().spans.len(), before);
-    }
-
-    #[test]
-    fn trace_round_trips_through_json_reader() {
-        let _g = lock();
-        trace_start(None);
-        {
-            let _outer = trace_scope("ipm/loop");
-            let _inner = trace_scope("ipm/newton");
-        }
-        rayon::join(|| (), || ());
-        let json = trace_finish().expect("tracing was active");
-        let v = json::parse(&json).expect("exporter must emit valid JSON");
-        assert_eq!(
-            v.get("otherData").unwrap().get("schema").unwrap().as_str(),
-            Some(TRACE_SCHEMA)
-        );
+    /// Names of the span slices (complete events that are not pool
+    /// slices) in a rendered trace, after checking every event's shape.
+    fn span_names(json: &str) -> Vec<String> {
+        let v = json::parse(json).expect("exporter must emit valid JSON");
+        let other = v.get("otherData").unwrap();
+        assert_eq!(other.get("schema").unwrap().as_str(), Some(TRACE_SCHEMA));
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         let mut metadata = 0;
-        let mut complete = 0;
-        let mut names = Vec::new();
+        let mut complete = Vec::new();
         for e in events {
             match e.get("ph").and_then(JsonValue::as_str) {
                 Some("M") => {
@@ -330,25 +232,69 @@ mod tests {
                     );
                 }
                 Some("X") => {
-                    complete += 1;
                     assert!(e.get("ts").unwrap().as_f64().is_some());
                     assert!(e.get("dur").unwrap().as_f64().unwrap() >= 0.0);
                     assert!(e.get("tid").unwrap().as_f64().is_some());
-                    names.push(e.get("name").unwrap().as_str().unwrap().to_string());
+                    complete.push(e.get("name").unwrap().as_str().unwrap().to_string());
                 }
                 other => panic!("unexpected ph {other:?}"),
             }
         }
         assert!(metadata >= 1, "every lane needs a thread_name event");
-        assert!(complete >= 2);
+        let count = |k: &str| other.get(k).unwrap().as_f64().unwrap() as usize;
+        assert_eq!(complete.len(), count("annotations") + count("pool_slices"));
+        assert_eq!(count("dropped_annotations"), 0);
+        // Pool slices are rendered after the span slices.
+        complete.truncate(count("annotations"));
+        complete
+    }
+
+    #[test]
+    fn scope_is_noop_when_inactive() {
+        let _g = lock();
+        let _ = trace_finish();
+        // Pool slice recording alone is not a trace session.
+        telemetry::set_recording(true);
+        Tracker::profiled().span("ignored", |_| ());
+        Tracker::new().span("ignored", |_| ());
+        telemetry::set_recording(false);
+        assert!(trace_finish().is_none());
+        let (spans, _) = annotation::finish();
+        assert!(spans.iter().all(|a| a.name != "ignored"));
+    }
+
+    #[test]
+    fn trace_round_trips_through_json_reader() {
+        let _g = lock();
+        trace_start(None);
+        // A plain tracker: no profiler is needed for slices.
+        let mut t = Tracker::new();
+        t.span("ipm/loop", |t| t.span("ipm/newton", |_| ()));
+        rayon::join(|| (), || ());
+        let json = trace_finish().expect("tracing was active");
+        let names = span_names(&json);
         assert!(names.iter().any(|n| n == "ipm/loop"));
         assert!(names.iter().any(|n| n == "ipm/newton"));
+        let v = json::parse(&json).unwrap();
         let other = v.get("otherData").unwrap();
         assert!(other.get("joins").unwrap().as_f64().unwrap() >= 1.0);
-        assert_eq!(
-            other.get("annotations").unwrap().as_f64(),
-            Some(names.iter().filter(|n| n.starts_with("ipm/")).count() as f64)
-        );
+    }
+
+    #[test]
+    fn spans_in_par_join_branches_are_recorded() {
+        let _g = lock();
+        trace_start(None);
+        let mut t = Tracker::new();
+        t.span("outer", |t| {
+            t.par_join(
+                |t| t.span("branch/left", |_| ()),
+                |t| t.span("branch/right", |_| ()),
+            )
+        });
+        let names = span_names(&trace_finish().expect("tracing was active"));
+        for want in ["outer", "branch/left", "branch/right"] {
+            assert!(names.iter().any(|n| n == want), "{want} missing");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! Reductions, scans and sorts follow the standard PRAM bounds
 //! (`n`/`log n`, `n`/`log n`, `n log n`/`log² n`).
 
+pub mod annotation;
 pub mod cost;
 pub mod critpath;
 pub mod primitives;

@@ -6,6 +6,7 @@
 //! [`Tracker::join`] / [`Tracker::parallel`], which compose the branch
 //! costs with `par` before charging them.
 
+use crate::annotation;
 use crate::critpath::{CritPathReport, DepthLedger};
 use crate::profile::{ProfileReport, Profiler, SpanStart};
 use crate::Cost;
@@ -106,8 +107,10 @@ impl Tracker {
     /// Run `f` inside a named span. With a profiler attached, the span
     /// accumulates the tracker's work/depth delta across the scope, the
     /// wall time, and an invocation count into the phase tree (nested
-    /// calls build nested tree nodes). Without one, this is exactly
-    /// `f(self)` — no allocation, no bookkeeping.
+    /// calls build nested tree nodes). Without one, and outside a trace
+    /// session, this is exactly `f(self)` — no allocation, no
+    /// bookkeeping. During a trace session every span also records its
+    /// wall-clock slice ([`crate::annotation`]), profiled or not.
     ///
     /// Spans never charge costs themselves, so profiled and unprofiled
     /// runs of the same code report identical totals.
@@ -154,11 +157,14 @@ impl Tracker {
         } else {
             false
         };
+        let slice =
+            annotation::annotating().then(|| (name.to_string(), rayon::telemetry::now_ns()));
         SpanGuard {
             tracker: self,
             profiler,
             start,
             ledger_open,
+            slice,
         }
     }
 
@@ -468,11 +474,12 @@ pub enum ParMode {
     Forked,
 }
 
-/// RAII guard for an open profiler span (see [`Tracker::span_guard`]).
+/// RAII guard for an open span (see [`Tracker::span_guard`]).
 ///
 /// Dereferences to the underlying [`Tracker`], and closes the span when
 /// dropped — by normal scope exit, early `return`, or unwinding — so the
 /// profiler's span stack stays balanced no matter how the scope ends.
+/// Closing also records the span's trace-session slice, if any.
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
     tracker: &'a mut Tracker,
@@ -481,6 +488,9 @@ pub struct SpanGuard<'a> {
     /// Whether this guard pushed a segment onto the tracker's depth
     /// ledger path (popped again on drop).
     ledger_open: bool,
+    /// Name and start time of the trace-session slice, when a session
+    /// was open at entry (see [`crate::annotation`]).
+    slice: Option<(String, u64)>,
 }
 
 impl SpanGuard<'_> {
@@ -503,6 +513,9 @@ impl std::ops::DerefMut for SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
+        if let Some((name, start_ns)) = self.slice.take() {
+            annotation::record(name, start_ns);
+        }
         if self.ledger_open {
             if let Some(l) = &mut self.tracker.ledger {
                 l.pop();

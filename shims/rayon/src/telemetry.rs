@@ -108,7 +108,7 @@ fn epoch() -> Instant {
 }
 
 /// Nanoseconds since the process-global telemetry epoch. Public so
-/// higher layers (span annotations in `pmcf-obs`) can timestamp onto the
+/// higher layers (span slices in `pmcf-pram`) can timestamp onto the
 /// same timeline as the pool's busy slices.
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64

@@ -5,7 +5,6 @@
 
 use pmcf_core::init;
 use pmcf_core::reference::PathFollowConfig;
-use pmcf_core::trace::TraceRecorder;
 use pmcf_graph::generators;
 use pmcf_obs::monitor::{all_ok, run_monitors, to_markdown};
 use pmcf_obs::{json, FlightRecorder};
@@ -18,17 +17,15 @@ fn record_solve(engine: &str, seed: u64) -> (Vec<pmcf_obs::Event>, u64) {
     let mu0 = init::initial_mu(&ext.prob, 0.25);
     let mu_end = init::final_mu(&ext.prob);
     let mut t = Tracker::profiled();
-    let mut trace = TraceRecorder::new();
     match engine {
         "reference" => {
-            let _ = pmcf_core::reference::path_follow_traced(
+            let _ = pmcf_core::reference::path_follow(
                 &mut t,
                 &ext.prob,
                 ext.x0.clone(),
                 mu0,
                 mu_end,
                 &PathFollowConfig::default(),
-                Some(&mut trace),
             );
         }
         "robust" => {
@@ -52,8 +49,14 @@ fn reference_solve_recording_passes_all_monitors() {
     let (events, _) = record_solve("reference", 1);
     assert!(!events.is_empty());
     assert!(events.iter().any(|e| e.kind == "solve.start"));
-    assert!(events.iter().any(|e| e.kind == "ipm.iter"));
-    assert!(events.iter().any(|e| e.kind == "ipm.trace"));
+    let iters: Vec<_> = events.iter().filter(|e| e.kind == "ipm.iter").collect();
+    assert!(!iters.is_empty());
+    for e in &iters {
+        assert_eq!(e.str_field("engine"), Some("reference"));
+        for field in ["iteration", "mu", "gap", "step", "work", "depth"] {
+            assert!(e.num(field).is_some(), "ipm.iter without {field}");
+        }
+    }
     assert!(events.iter().any(|e| e.kind == "ipm.centered"));
     assert!(events.iter().any(|e| e.kind == "solve.end"));
     let verdicts = run_monitors(&events);
@@ -62,7 +65,7 @@ fn reference_solve_recording_passes_all_monitors() {
         "monitor violations:\n{}",
         to_markdown(&verdicts)
     );
-    // every monitor actually saw events on a traced reference solve
+    // every monitor actually saw events on a reference solve
     for v in &verdicts {
         if v.monitor != "conductance-certified" {
             assert!(v.checked > 0, "{} checked nothing", v.monitor);
