@@ -195,15 +195,14 @@ pub fn max_flow_in(
     let res: Vec<AtomicI64> = res_init.into_iter().map(AtomicI64::new).collect();
     let narcs = arcs.len();
     tr.charge(Cost::par_flat((narcs + n).max(1) as u64));
-    pmcf_obs::emit(
-        "pr.start",
+    pmcf_obs::emit_with("pr.start", || {
         vec![
-            ("n", (n as u64).into()),
-            ("arcs", (narcs as u64).into()),
-            ("s", (s as u64).into()),
-            ("t", (sink as u64).into()),
-        ],
-    );
+            ("n", n.into()),
+            ("arcs", narcs.into()),
+            ("s", s.into()),
+            ("t", sink.into()),
+        ]
+    });
 
     let mut label: Vec<usize> = vec![0; n];
     let mut excess: Vec<i64> = vec![0; n];
@@ -252,13 +251,12 @@ pub fn max_flow_in(
             tr.counter("pr.global_relabels", 1);
             work_since_relabel = 0;
             active = rebuild_active(&label, &excess, tr);
-            pmcf_obs::emit(
-                "pr.global_relabel",
+            pmcf_obs::emit_with("pr.global_relabel", || {
                 vec![
                     ("round", stats.rounds.into()),
-                    ("active", (active.len() as u64).into()),
-                ],
-            );
+                    ("active", active.len().into()),
+                ]
+            });
         }
         if active.is_empty() {
             // a global relabel can unlock retired vertices only by
@@ -420,16 +418,15 @@ pub fn max_flow_in(
     }
     tr.charge(Cost::par_flat(narcs.max(1) as u64));
 
-    pmcf_obs::emit(
-        "pr.done",
+    pmcf_obs::emit_with("pr.done", || {
         vec![
             ("value", value.into()),
             ("rounds", stats.rounds.into()),
             ("pushes", stats.pushes.into()),
             ("relabels", stats.relabels.into()),
             ("global_relabels", stats.global_relabels.into()),
-        ],
-    );
+        ]
+    });
     Ok(PrFlow { value, x, stats })
 }
 

@@ -7,124 +7,16 @@
 //! `PMCF_PROFILE=1` — the hierarchical span-tree profile of a designated
 //! solve, so external tooling can diff runs without scraping stdout.
 //!
-//! The JSON is hand-rolled on purpose: the workspace carries no serde
-//! dependency, and the value space here (strings, finite floats, u64,
-//! bool, flat arrays/objects) doesn't need one.
+//! Artifacts are built as [`JsonValue`]s and rendered by the workspace's
+//! one JSON writer (`pmcf_obs::json`).
 
-use pmcf_pram::profile::{json_string, ProfileReport};
+use pmcf_obs::json::{self, JsonValue};
+use pmcf_pram::profile::ProfileReport;
 use pmcf_pram::Tracker;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every artifact.
 pub const SCHEMA: &str = "pmcf.bench/v1";
-
-/// A JSON value (the tiny subset the artifacts need).
-#[derive(Clone, Debug)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// An unsigned integer.
-    U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A float (non-finite values serialize as `null`).
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An ordered object (insertion order preserved).
-    Obj(Vec<(String, Json)>),
-    /// Pre-rendered JSON embedded verbatim (e.g. a profile report).
-    Raw(String),
-}
-
-impl Json {
-    /// Render to a compact JSON string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
-            Json::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v:e}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => out.push_str(&json_string(s)),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_string(k));
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-            Json::Raw(s) => out.push_str(s),
-        }
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Self {
-        Json::Str(s.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(s: String) -> Self {
-        Json::Str(s)
-    }
-}
-impl From<u64> for Json {
-    fn from(v: u64) -> Self {
-        Json::U64(v)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::U64(v as u64)
-    }
-}
-impl From<i64> for Json {
-    fn from(v: i64) -> Self {
-        Json::I64(v)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::F64(v)
-    }
-}
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
-}
 
 /// Command-line arguments shared by every bench binary.
 ///
@@ -219,9 +111,9 @@ macro_rules! mdln {
 pub struct Artifact {
     bench: String,
     seed: u64,
-    rows: Vec<Json>,
-    extra: Vec<(String, Json)>,
-    profile: Option<String>,
+    rows: Vec<JsonValue>,
+    extra: Vec<(String, JsonValue)>,
+    profile: Option<JsonValue>,
     md_stderr: bool,
 }
 
@@ -256,14 +148,12 @@ impl Artifact {
     }
 
     /// Append a table row (an ordered key → value object).
-    pub fn row(&mut self, pairs: Vec<(&str, Json)>) {
-        self.rows.push(Json::Obj(
-            pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        ));
+    pub fn row(&mut self, pairs: Vec<(&str, JsonValue)>) {
+        self.rows.push(JsonValue::obj(pairs));
     }
 
     /// Attach a top-level key (fitted exponents, sweep metadata, …).
-    pub fn set(&mut self, key: &str, value: Json) {
+    pub fn set(&mut self, key: &str, value: JsonValue) {
         self.extra.push((key.to_string(), value));
     }
 
@@ -285,22 +175,22 @@ impl Artifact {
     pub fn attach_profile_report(&mut self, label: &str, rep: &ProfileReport) {
         self.md_line(&format!("\n### Span profile — {label}\n"));
         self.md_line(&rep.to_markdown());
-        self.profile = Some(rep.to_json());
+        self.profile = Some(pmcf_obs::profile_json(rep));
     }
 
-    /// Render the full artifact.
-    pub fn to_json(&self) -> String {
-        let mut obj: Vec<(String, Json)> = vec![
-            ("schema".into(), Json::from(SCHEMA)),
-            ("bench".into(), Json::Str(self.bench.clone())),
-            ("seed".into(), Json::U64(self.seed)),
+    /// The full artifact document.
+    pub fn to_json(&self) -> JsonValue {
+        let mut obj = vec![
+            ("schema".to_string(), SCHEMA.into()),
+            ("bench".to_string(), self.bench.as_str().into()),
+            ("seed".to_string(), self.seed.into()),
         ];
         obj.extend(self.extra.iter().cloned());
-        obj.push(("rows".into(), Json::Arr(self.rows.clone())));
+        obj.push(("rows".to_string(), JsonValue::Arr(self.rows.clone())));
         if let Some(p) = &self.profile {
-            obj.push(("profile".into(), Json::Raw(p.clone())));
+            obj.push(("profile".to_string(), p.clone()));
         }
-        Json::Obj(obj).render()
+        JsonValue::Obj(obj)
     }
 
     /// Emit the artifact as `args` requested: under `--json -` the JSON
@@ -310,16 +200,7 @@ impl Artifact {
     pub fn emit(&self, args: &BenchArgs) {
         if args.stream {
             println!("{}", self.to_json());
-            return;
-        }
-        self.write_if_requested(&args.json);
-    }
-
-    /// Write the artifact to `path` (creating parent directories) if the
-    /// caller passed `--json <path>`; no-op otherwise. Prints the
-    /// destination.
-    pub fn write_if_requested(&self, path: &Option<PathBuf>) {
-        if let Some(p) = path {
+        } else if let Some(p) = &args.json {
             self.write(p).expect("artifact write failed");
             self.md_line(&format!("\n[artifact] wrote {}", p.display()));
         }
@@ -327,12 +208,7 @@ impl Artifact {
 
     /// Write the artifact to `path`, creating parent directories.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        json::write_file(path, &self.to_json())
     }
 }
 
@@ -341,39 +217,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_values_render() {
-        let v = Json::Obj(vec![
-            ("a".into(), Json::U64(3)),
-            ("b".into(), Json::Arr(vec![Json::F64(1.5), Json::Null])),
-            ("c".into(), Json::Str("x\"y".into())),
-            ("d".into(), Json::Bool(true)),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"a":3,"b":[1.5e0,null],"c":"x\"y","d":true}"#
-        );
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(Json::F64(f64::NAN).render(), "null");
-        assert_eq!(Json::F64(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
     fn artifact_shape_is_schema_versioned() {
         let mut a = Artifact::new("demo", 9);
-        a.row(vec![
-            ("n", Json::from(4usize)),
-            ("work", Json::from(100u64)),
-        ]);
-        a.set("exponent", Json::F64(1.5));
-        let js = a.to_json();
-        assert!(js.starts_with(&format!("{{\"schema\":{}", json_string(SCHEMA))));
-        assert!(js.contains("\"bench\":\"demo\""));
-        assert!(js.contains("\"seed\":9"));
-        assert!(js.contains("\"rows\":[{\"n\":4,\"work\":100}]"));
-        assert_eq!(js.matches('{').count(), js.matches('}').count());
+        a.row(vec![("n", 4usize.into()), ("work", 100u64.into())]);
+        a.set("exponent", 1.5.into());
+        assert_eq!(
+            a.to_json().to_string(),
+            r#"{"schema":"pmcf.bench/v1","bench":"demo","seed":9,"exponent":1.5e0,"rows":[{"n":4,"work":100}]}"#
+        );
     }
 
     #[test]
@@ -382,8 +233,8 @@ mod tests {
         t.span("a", |t| t.charge(pmcf_pram::Cost::par_flat(5)));
         let rep = t.profile_report().unwrap();
         let mut a = Artifact::new("demo", 0);
-        a.profile = Some(rep.to_json());
-        let js = a.to_json();
+        a.profile = Some(pmcf_obs::profile_json(&rep));
+        let js = a.to_json().to_string();
         assert!(js.contains("\"profile\":{\"schema\":\"pmcf.profile/v1\""));
     }
 

@@ -5,7 +5,7 @@
 //! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
 //! span-tree profile of the last HeavySampler run.
 
-use pmcf_bench::{mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::PathFollowConfig;
 use pmcf_core::robust;
@@ -53,13 +53,13 @@ fn main() {
                 t.work() as f64 / stats.iterations.max(1) as f64
             );
             artifact.row(vec![
-                ("n", Json::from(n)),
-                ("m", Json::from(m)),
-                ("sampler", Json::from(label)),
-                ("iterations", Json::from(stats.iterations)),
-                ("coords_per_iter", Json::from(coords_per_iter)),
-                ("work", Json::from(t.work())),
-                ("depth", Json::from(t.depth())),
+                ("n", n.into()),
+                ("m", m.into()),
+                ("sampler", label.into()),
+                ("iterations", stats.iterations.into()),
+                ("coords_per_iter", coords_per_iter.into()),
+                ("work", t.work().into()),
+                ("depth", t.depth().into()),
             ]);
             if !dense {
                 if let Some(rep) = t.profile_report() {

@@ -109,11 +109,10 @@ fn triage_markdown(cli: &Cli) -> Option<String> {
         (Some(b), Some(c)) => (b, c),
         _ => return None,
     };
-    let load = |path: &str| -> Result<RunReport, String> {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        RunReport::from_json(&src).map_err(|e| format!("{path}: {e}"))
-    };
-    match (load(base_path), load(cand_path)) {
+    match (
+        RunReport::load(base_path.as_ref()),
+        RunReport::load(cand_path.as_ref()),
+    ) {
         (Ok(base), Ok(cand)) => {
             let diff = diff_reports(&base, &cand);
             Some(diff.to_markdown(cli.triage_top))

@@ -7,7 +7,7 @@
 //! `pmcf.report/v1` run report under `report`. `PMCF_PROFILE=1` adds the
 //! span-tree profile of the solve.
 
-use pmcf_bench::{mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
@@ -61,9 +61,9 @@ fn main() {
             r.wall_ns as f64 / 1e6,
         );
     }
-    artifact.set("n", Json::from(n));
-    artifact.set("m", Json::from(m));
-    artifact.set("iterations", Json::from(stats.iterations));
+    artifact.set("n", n.into());
+    artifact.set("m", m.into());
+    artifact.set("iterations", stats.iterations.into());
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
         if last.iteration > first.iteration {
             let rate =
@@ -74,10 +74,10 @@ fn main() {
                 "\nμ decay/iter: {rate:.5} (theory: 1 − r/√Στ ≈ {:.5})",
                 1.0 - 0.5 / tau_sum_guess.sqrt()
             );
-            artifact.set("mu_decay_rate", Json::F64(rate));
+            artifact.set("mu_decay_rate", rate.into());
         }
     }
-    artifact.set("report", Json::Raw(report.to_json()));
+    artifact.set("report", report.to_json());
     artifact.attach_profile(&format!("reference IPM, n={n}, m={m}"), &t);
     artifact.emit(&args);
     pmcf_obs::finish();

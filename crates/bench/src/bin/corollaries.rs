@@ -5,7 +5,7 @@
 //! span-tree profile of the last reduction solve.
 
 use pmcf_baselines::{bellman_ford, bfs, hopcroft_karp};
-use pmcf_bench::{mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::corollaries::{bipartite_matching, negative_sssp, reachability};
 use pmcf_core::SolverConfig;
 use pmcf_graph::generators;
@@ -39,12 +39,12 @@ fn main() {
             t.depth()
         );
         artifact.row(vec![
-            ("section", Json::from("matching")),
-            ("n_left", Json::from(nl)),
-            ("m", Json::from(m)),
-            ("size", Json::from(got)),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
+            ("section", "matching".into()),
+            ("n_left", nl.into()),
+            ("m", m.into()),
+            ("size", got.into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
         ]);
         if let Some(rep) = t.profile_report() {
             profile = Some((format!("bipartite matching, n_left={nl}, m={m}"), rep));
@@ -65,11 +65,11 @@ fn main() {
         assert_eq!(got, want);
         mdln!(args, "| {n} | {m} | yes | {} | {} |", t.work(), t.depth());
         artifact.row(vec![
-            ("section", Json::from("sssp")),
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
+            ("section", "sssp".into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
         ]);
     }
 
@@ -97,12 +97,12 @@ fn main() {
             tb.depth()
         );
         artifact.row(vec![
-            ("section", Json::from("reachability")),
-            ("n", Json::from(g.n())),
-            ("m", Json::from(g.m())),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
-            ("bfs_depth", Json::from(tb.depth())),
+            ("section", "reachability".into()),
+            ("n", g.n().into()),
+            ("m", g.m().into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
+            ("bfs_depth", tb.depth().into()),
         ]);
     }
 

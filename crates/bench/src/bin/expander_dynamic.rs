@@ -8,7 +8,7 @@
 //! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
 //! span-tree profile of the last E-PRUNE run.
 
-use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_ds::heavy_hitter::HeavyHitter;
 use pmcf_expander::pruning::BoostedPruner;
 use pmcf_expander::DynamicExpanderDecomposition;
@@ -56,16 +56,16 @@ fn main() {
                 t.depth() as f64 / batches as f64
             );
             artifact.row(vec![
-                ("section", Json::from("dynx")),
-                ("n", Json::from(n)),
-                ("m", Json::from(m)),
-                ("batch", Json::from(batch)),
-                ("batches", Json::from(batches)),
-                ("work", Json::from(t.work())),
-                ("work_per_edge", Json::from(t.work() as f64 / m as f64)),
+                ("section", "dynx".into()),
+                ("n", n.into()),
+                ("m", m.into()),
+                ("batch", batch.into()),
+                ("batches", batches.into()),
+                ("work", t.work().into()),
+                ("work_per_edge", (t.work() as f64 / m as f64).into()),
                 (
                     "depth_per_batch",
-                    Json::from(t.depth() as f64 / batches as f64),
+                    (t.depth() as f64 / batches as f64).into(),
                 ),
             ]);
         }
@@ -107,14 +107,14 @@ fn main() {
             t.work() as f64 / deleted as f64
         );
         artifact.row(vec![
-            ("section", Json::from("prune")),
-            ("n", Json::from(n)),
-            ("deleted", Json::from(deleted)),
-            ("pruned_volume", Json::from(pruned_vol)),
-            ("ratio", Json::from(pruned_vol as f64 / deleted as f64)),
+            ("section", "prune".into()),
+            ("n", n.into()),
+            ("deleted", deleted.into()),
+            ("pruned_volume", pruned_vol.into()),
+            ("ratio", (pruned_vol as f64 / deleted as f64).into()),
             (
                 "work_per_deleted",
-                Json::from(t.work() as f64 / deleted as f64),
+                (t.work() as f64 / deleted as f64).into(),
             ),
         ]);
         if let Some(rep) = t.profile_report() {
@@ -183,14 +183,14 @@ fn main() {
                 "| {n} | {m} | {scenario} | {fresh_allocs} | {reinit_allocs} | {ratio:.3} |"
             );
             artifact.row(vec![
-                ("section", Json::from("reinit")),
-                ("scenario", Json::from(scenario)),
-                ("n", Json::from(n)),
-                ("m", Json::from(m)),
-                ("fresh_allocs", Json::from(fresh_allocs)),
-                ("reinit_allocs", Json::from(reinit_allocs)),
-                ("alloc_ratio", Json::from(ratio)),
-                ("reinit_leaner", Json::from(reinit_leaner)),
+                ("section", "reinit".into()),
+                ("scenario", scenario.into()),
+                ("n", n.into()),
+                ("m", m.into()),
+                ("fresh_allocs", fresh_allocs.into()),
+                ("reinit_allocs", reinit_allocs.into()),
+                ("alloc_ratio", ratio.into()),
+                ("reinit_leaner", reinit_leaner.into()),
             ]);
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! Flags: `[max_n] --seed <u64> --json <path>`.
 
-use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
@@ -57,16 +57,16 @@ fn main() {
             stats.iterations as f64 / (sq * lg)
         );
         artifact.row(vec![
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("iterations", Json::from(stats.iterations)),
-            ("per_sqrt_n", Json::from(stats.iterations as f64 / sq)),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("iterations", stats.iterations.into()),
+            ("per_sqrt_n", (stats.iterations as f64 / sq).into()),
             (
                 "per_sqrt_n_log",
-                Json::from(stats.iterations as f64 / (sq * lg)),
+                (stats.iterations as f64 / (sq * lg)).into(),
             ),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
         ]);
         if let Some(rep) = t.profile_report() {
             profile = Some((format!("reference IPM, n={n}, m={m}"), rep));
@@ -78,7 +78,7 @@ fn main() {
         args,
         "\nFitted exponent: iterations ~ n^{a:.2} (paper: 0.5 ± log factors)"
     );
-    artifact.set("exponent", Json::F64(a));
+    artifact.set("exponent", a.into());
 
     if let Some((label, rep)) = profile {
         artifact.attach_profile_report(&label, &rep);

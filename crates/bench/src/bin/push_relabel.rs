@@ -23,7 +23,7 @@
 //! unified `pmcf.report/v1` run report.
 
 use pmcf_baselines::{dinic, push_relabel};
-use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs};
 use pmcf_graph::generators;
 use pmcf_pram::profile::tracker_from_env;
 use pmcf_pram::{ParMode, Tracker};
@@ -35,10 +35,7 @@ fn main() {
     pmcf_obs::report_init_from_env();
     let seed = args.seed_or(7);
     let mut artifact = Artifact::for_run("push_relabel", seed, &args);
-    artifact.set(
-        "threads",
-        Json::Str(rayon::current_num_threads().to_string()),
-    );
+    artifact.set("threads", rayon::current_num_threads().to_string().into());
     let mut profile = None;
     let mut last_tracker = None;
 
@@ -78,18 +75,18 @@ fn main() {
             out.stats.rounds
         );
         artifact.row(vec![
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("value", Json::from(out.value)),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
-            ("wall_seconds", Json::from(wall)),
-            ("pushes", Json::from(out.stats.pushes)),
-            ("relabels", Json::from(out.stats.relabels)),
-            ("global_relabels", Json::from(out.stats.global_relabels)),
-            ("rounds", Json::from(out.stats.rounds)),
-            ("pushes_per_second", Json::from(pps)),
-            ("dinic_agrees", Json::from(agrees)),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("value", out.value.into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
+            ("wall_seconds", wall.into()),
+            ("pushes", out.stats.pushes.into()),
+            ("relabels", out.stats.relabels.into()),
+            ("global_relabels", out.stats.global_relabels.into()),
+            ("rounds", out.stats.rounds.into()),
+            ("pushes_per_second", pps.into()),
+            ("dinic_agrees", agrees.into()),
         ]);
         if let Some(rep) = t.profile_report() {
             profile = Some((format!("push-relabel, n={n}, m={m}"), rep));
@@ -103,9 +100,9 @@ fn main() {
         args,
         "\nFitted scaling (m = 8n): work ~ n^{we:.3}, depth ~ n^{de:.3}."
     );
-    artifact.set("work_exponent", Json::from(we));
-    artifact.set("depth_exponent", Json::from(de));
-    artifact.set("dinic_agrees_all", Json::from(all_agree));
+    artifact.set("work_exponent", we.into());
+    artifact.set("depth_exponent", de.into());
+    artifact.set("dinic_agrees_all", all_agree.into());
 
     // the charged cost model may not depend on whether the fork-join
     // tree actually forked: rerun one size in both modes explicitly
@@ -127,26 +124,12 @@ fn main() {
         args,
         "Sequential vs Forked charged cost identical: {mode_ok}."
     );
-    artifact.set("cost_model_mode_invariant", Json::from(mode_ok));
+    artifact.set("cost_model_mode_invariant", mode_ok.into());
 
     if let Some((label, rep)) = profile {
         artifact.attach_profile_report(&label, &rep);
     }
-    if let Some(mut run) = pmcf_obs::take_run_report("push_relabel") {
-        if let Some(t) = last_tracker.as_ref() {
-            run.absorb_tracker(t);
-        }
-        if let Some(path) = pmcf_obs::report_output_path() {
-            match run.write(&path) {
-                Ok(()) => eprintln!(
-                    "push_relabel: wrote {} run report to {}",
-                    pmcf_obs::REPORT_SCHEMA,
-                    path.display()
-                ),
-                Err(e) => eprintln!("push_relabel: run report write failed: {e}"),
-            }
-        }
-    }
+    pmcf_obs::report_finish("push_relabel", last_tracker.as_ref());
     artifact.emit(&args);
     pmcf_obs::finish();
 }

@@ -27,7 +27,7 @@
 //! `pmcf.report/v1` run report in which resolve iterations appear under
 //! the `resolve-reference` engine label.
 
-use pmcf_bench::{mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::{solve_mcf, NewEdge, ResolveDelta, SolverConfig};
 use pmcf_graph::{generators, McfProblem};
 use pmcf_pram::Tracker;
@@ -78,10 +78,7 @@ fn main() {
     pmcf_obs::report_init_from_env();
     let seed = args.seed_or(23);
     let mut artifact = Artifact::for_run("resolve", seed, &args);
-    artifact.set(
-        "threads",
-        Json::Str(rayon::current_num_threads().to_string()),
-    );
+    artifact.set("threads", rayon::current_num_threads().to_string().into());
 
     let cfg = SolverConfig::default();
     let (n, m) = (33usize, 198usize);
@@ -162,17 +159,17 @@ fn main() {
             "| {op} | {k} | {m} | {work_res} | {work_fresh} | {ratio:.4} | {iters_res} | {iters_fresh} | {wall:.4} |"
         );
         artifact.row(vec![
-            ("op", Json::Str(op)),
-            ("delta_edges", Json::from(k)),
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("work_resolve", Json::from(work_res)),
-            ("work_fresh", Json::from(work_fresh)),
-            ("work_ratio", Json::from(ratio)),
-            ("depth_ratio", Json::from(depth_ratio)),
-            ("iterations_resolve", Json::from(iters_res)),
-            ("iterations_fresh", Json::from(iters_fresh)),
-            ("wall_seconds", Json::from(wall)),
+            ("op", op.into()),
+            ("delta_edges", k.into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("work_resolve", work_res.into()),
+            ("work_fresh", work_fresh.into()),
+            ("work_ratio", ratio.into()),
+            ("depth_ratio", depth_ratio.into()),
+            ("iterations_resolve", iters_res.into()),
+            ("iterations_fresh", iters_fresh.into()),
+            ("wall_seconds", wall.into()),
         ]);
     }
 
@@ -215,14 +212,14 @@ fn main() {
         ck.problem().m()
     );
     artifact.row(vec![
-        ("op", Json::from("churn")),
-        ("delta_edges", Json::from(3 * played)),
-        ("n", Json::from(n)),
-        ("m", Json::from(ck.problem().m())),
-        ("work_resolve", Json::from(work_res_total)),
-        ("work_fresh", Json::from(work_fresh_total)),
-        ("work_ratio", Json::from(churn_ratio)),
-        ("wall_seconds", Json::from(churn_wall)),
+        ("op", "churn".into()),
+        ("delta_edges", (3 * played).into()),
+        ("n", n.into()),
+        ("m", ck.problem().m().into()),
+        ("work_resolve", work_res_total.into()),
+        ("work_fresh", work_fresh_total.into()),
+        ("work_ratio", churn_ratio.into()),
+        ("wall_seconds", churn_wall.into()),
     ]);
 
     let single_ok = single_edge_ratio < 0.5;
@@ -231,22 +228,11 @@ fn main() {
         args,
         "single-edge ratio {single_edge_ratio:.4} (<0.5: {single_ok}); objective agreement {agreement}; stale deletes {stale_total}"
     );
-    artifact.set("single_edge_ratio_below_half", Json::from(single_ok));
-    artifact.set("objective_agreement_ok", Json::from(agreement));
-    artifact.set("stale_deletes_zero", Json::from(stale_total == 0));
+    artifact.set("single_edge_ratio_below_half", single_ok.into());
+    artifact.set("objective_agreement_ok", agreement.into());
+    artifact.set("stale_deletes_zero", (stale_total == 0).into());
 
-    if let Some(run) = pmcf_obs::take_run_report("resolve") {
-        if let Some(path) = pmcf_obs::report_output_path() {
-            match run.write(&path) {
-                Ok(()) => eprintln!(
-                    "resolve: wrote {} run report to {}",
-                    pmcf_obs::REPORT_SCHEMA,
-                    path.display()
-                ),
-                Err(e) => eprintln!("resolve: run report write failed: {e}"),
-            }
-        }
-    }
+    pmcf_obs::report_finish("resolve", None);
     artifact.emit(&args);
     pmcf_obs::finish();
 }

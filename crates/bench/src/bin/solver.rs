@@ -30,7 +30,7 @@
 //! unified `pmcf.report/v1` run report with the warm IPM run's spans and
 //! per-iteration convergence table.
 
-use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
@@ -45,10 +45,7 @@ fn main() {
     pmcf_obs::report_init_from_env();
     let seed = args.seed_or(11);
     let mut artifact = Artifact::for_run("solver", seed, &args);
-    artifact.set(
-        "threads",
-        Json::Str(rayon::current_num_threads().to_string()),
-    );
+    artifact.set("threads", rayon::current_num_threads().to_string().into());
 
     mdln!(args, "## E-SOLVER — Laplacian solver reuse layer\n");
     mdln!(
@@ -80,13 +77,13 @@ fn main() {
         lev_t.depth(),
     );
     artifact.row(vec![
-        ("op", Json::from("leverage")),
-        ("n", Json::from(lev_n)),
-        ("m", Json::from(lev_m)),
-        ("wall_seconds", Json::from(lev_wall)),
-        ("work", Json::from(lev_t.work())),
-        ("depth", Json::from(lev_t.depth())),
-        ("cg_iterations", Json::from(lev_iters)),
+        ("op", "leverage".into()),
+        ("n", lev_n.into()),
+        ("m", lev_m.into()),
+        ("wall_seconds", lev_wall.into()),
+        ("work", lev_t.work().into()),
+        ("depth", lev_t.depth().into()),
+        ("cg_iterations", lev_iters.into()),
     ]);
     // charged costs must not depend on scheduling: a repeat run charges
     // the same work/depth bit for bit
@@ -152,15 +149,15 @@ fn main() {
         "  (cg_steady: {steady_allocs} allocations over {steady_rounds} solves → {allocs_per_iter:.4} allocs/iter)"
     );
     artifact.row(vec![
-        ("op", Json::from("cg_steady")),
-        ("n", Json::from(lev_n)),
-        ("m", Json::from(lev_m)),
-        ("wall_seconds", Json::from(steady_wall)),
-        ("work", Json::from(steady_t.work())),
-        ("depth", Json::from(steady_t.depth())),
-        ("cg_iterations", Json::from(steady_iters)),
-        ("allocs", Json::from(steady_allocs)),
-        ("allocs_per_iter", Json::from(allocs_per_iter)),
+        ("op", "cg_steady".into()),
+        ("n", lev_n.into()),
+        ("m", lev_m.into()),
+        ("wall_seconds", steady_wall.into()),
+        ("work", steady_t.work().into()),
+        ("depth", steady_t.depth().into()),
+        ("cg_iterations", steady_iters.into()),
+        ("allocs", steady_allocs.into()),
+        ("allocs_per_iter", allocs_per_iter.into()),
     ]);
 
     // ---- robust-IPM step kernel: keyed pair solve, zero allocations ----
@@ -240,15 +237,15 @@ fn main() {
         "  (robust_step: {pair_allocs} allocations over {pair_rounds} pair-solves → {pair_allocs_per_iter:.4} allocs/iter)"
     );
     artifact.row(vec![
-        ("op", Json::from("robust_step")),
-        ("n", Json::from(lev_n)),
-        ("m", Json::from(lev_m)),
-        ("wall_seconds", Json::from(pair_wall)),
-        ("work", Json::from(pair_t.work())),
-        ("depth", Json::from(pair_t.depth())),
-        ("cg_iterations", Json::from(pair_iters)),
-        ("allocs", Json::from(pair_allocs)),
-        ("allocs_per_iter", Json::from(pair_allocs_per_iter)),
+        ("op", "robust_step".into()),
+        ("n", lev_n.into()),
+        ("m", lev_m.into()),
+        ("wall_seconds", pair_wall.into()),
+        ("work", pair_t.work().into()),
+        ("depth", pair_t.depth().into()),
+        ("cg_iterations", pair_iters.into()),
+        ("allocs", pair_allocs.into()),
+        ("allocs_per_iter", pair_allocs_per_iter.into()),
     ]);
 
     // ---- reference IPM, cold vs warm Newton solves ----
@@ -284,14 +281,14 @@ fn main() {
             stats.cg_iterations,
         );
         artifact.row(vec![
-            ("op", Json::from(op)),
-            ("n", Json::from(ext.prob.n())),
-            ("m", Json::from(ext.prob.m())),
-            ("wall_seconds", Json::from(wall)),
-            ("work", Json::from(t.work())),
-            ("depth", Json::from(t.depth())),
-            ("cg_iterations", Json::from(stats.cg_iterations)),
-            ("warm_start_hits", Json::from(hits)),
+            ("op", op.into()),
+            ("n", ext.prob.n().into()),
+            ("m", ext.prob.m().into()),
+            ("wall_seconds", wall.into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
+            ("cg_iterations", stats.cg_iterations.into()),
+            ("warm_start_hits", hits.into()),
         ]);
     }
     let warm_ok = (warm_stats.cg_iterations as f64) <= 0.8 * cold_stats.cg_iterations as f64;
@@ -342,28 +339,16 @@ fn main() {
         warm_stats.cg_iterations,
         cold_stats.cg_iterations,
     );
-    artifact.set("warm_start_reduction_ok", Json::from(warm_ok));
-    artifact.set("batch_matches_single", Json::from(batch_ok));
-    artifact.set("parallel_cost_model_consistent", Json::from(cost_model_ok));
-    artifact.set("cg_steady_zero_alloc", Json::from(zero_alloc));
-    artifact.set("robust_step_zero_alloc", Json::from(robust_step_zero_alloc));
+    artifact.set("warm_start_reduction_ok", warm_ok.into());
+    artifact.set("batch_matches_single", batch_ok.into());
+    artifact.set("parallel_cost_model_consistent", cost_model_ok.into());
+    artifact.set("cg_steady_zero_alloc", zero_alloc.into());
+    artifact.set("robust_step_zero_alloc", robust_step_zero_alloc.into());
 
     if let Some((label, t)) = profile {
         artifact.attach_profile(&label, &t);
     }
-    if let Some(mut run) = pmcf_obs::take_run_report("solver") {
-        run.absorb_tracker(&warm_t);
-        if let Some(path) = pmcf_obs::report_output_path() {
-            match run.write(&path) {
-                Ok(()) => eprintln!(
-                    "solver: wrote {} run report to {}",
-                    pmcf_obs::REPORT_SCHEMA,
-                    path.display()
-                ),
-                Err(e) => eprintln!("solver: run report write failed: {e}"),
-            }
-        }
-    }
+    pmcf_obs::report_finish("solver", Some(&warm_t));
     artifact.emit(&args);
     pmcf_obs::finish();
 }

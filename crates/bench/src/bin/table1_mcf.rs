@@ -25,10 +25,11 @@
 //! the same tracker so the artifact covers the whole stack.
 
 use pmcf_baselines::ssp;
-use pmcf_bench::{configs, fit_exponent, mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{configs, fit_exponent, mdln, Artifact, BenchArgs};
 use pmcf_core::solve_mcf;
 use pmcf_expander::DynamicExpanderDecomposition;
 use pmcf_graph::generators;
+use pmcf_obs::JsonValue;
 use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
@@ -69,13 +70,13 @@ fn main() {
             opt.cost(&p)
         );
         artifact.row(vec![
-            ("section", Json::from("table1")),
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("algorithm", Json::from("sequential SSP")),
-            ("work", Json::from(ssp_ops)),
-            ("depth", Json::from(ssp_ops)),
-            ("cost", Json::from(opt.cost(&p))),
+            ("section", "table1".into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("algorithm", "sequential SSP".into()),
+            ("work", ssp_ops.into()),
+            ("depth", ssp_ops.into()),
+            ("cost", opt.cost(&p).into()),
         ]);
         for (name, cfg) in configs() {
             let mut t = tracker_from_env();
@@ -91,15 +92,15 @@ fn main() {
                 sol.cost
             );
             artifact.row(vec![
-                ("section", Json::from("table1")),
-                ("n", Json::from(n)),
-                ("m", Json::from(m)),
-                ("algorithm", Json::from(name)),
-                ("iterations", Json::from(sol.stats.iterations)),
-                ("work", Json::from(work)),
-                ("depth", Json::from(depth)),
-                ("wall_seconds", Json::from(wall)),
-                ("cost", Json::from(sol.cost)),
+                ("section", "table1".into()),
+                ("n", n.into()),
+                ("m", m.into()),
+                ("algorithm", name.into()),
+                ("iterations", sol.stats.iterations.into()),
+                ("work", work.into()),
+                ("depth", depth.into()),
+                ("wall_seconds", wall.into()),
+                ("cost", sol.cost.into()),
             ]);
             series
                 .iter_mut()
@@ -153,12 +154,12 @@ fn main() {
                 works[0] as f64 / works[1] as f64
             );
             artifact.row(vec![
-                ("section", Json::from("density_sweep")),
-                ("n", Json::from(64usize)),
-                ("m", Json::from(m)),
-                ("dense_work", Json::from(works[0])),
-                ("robust_work", Json::from(works[1])),
-                ("ratio", Json::from(works[0] as f64 / works[1] as f64)),
+                ("section", "density_sweep".into()),
+                ("n", 64usize.into()),
+                ("m", m.into()),
+                ("dense_work", works[0].into()),
+                ("robust_work", works[1].into()),
+                ("ratio", (works[0] as f64 / works[1] as f64).into()),
             ]);
         }
     }
@@ -167,15 +168,15 @@ fn main() {
         args,
         "\n### Fitted work exponents (work ~ n^a at m = n^1.5)\n"
     );
-    let mut exps: Vec<(String, Json)> = Vec::new();
+    let mut exps: Vec<(String, JsonValue)> = Vec::new();
     for (name, pts) in &series {
         if pts.len() >= 3 {
             let a = fit_exponent(pts);
             mdln!(args, "- {name}: a ≈ {a:.2}");
-            exps.push((name.clone(), Json::F64(a)));
+            exps.push((name.clone(), a.into()));
         }
     }
-    artifact.set("exponents", Json::Obj(exps));
+    artifact.set("exponents", JsonValue::Obj(exps));
     mdln!(
         args,
         "\nPaper: robust = Õ(m + n^1.5) = Õ(n^1.5) here; dense = Õ(m√n) = Õ(n^2)."
@@ -185,15 +186,15 @@ fn main() {
         args,
         "\n### Fitted depth exponents (depth ~ n^a at m = n^1.5)\n"
     );
-    let mut dexps: Vec<(String, Json)> = Vec::new();
+    let mut dexps: Vec<(String, JsonValue)> = Vec::new();
     for (name, pts) in &depth_series {
         if pts.len() >= 3 {
             let a = fit_exponent(pts);
             mdln!(args, "- {name}: a ≈ {a:.2}");
-            dexps.push((name.clone(), Json::F64(a)));
+            dexps.push((name.clone(), a.into()));
         }
     }
-    artifact.set("depth_exponents", Json::Obj(dexps));
+    artifact.set("depth_exponents", JsonValue::Obj(dexps));
     mdln!(
         args,
         "\nPaper: the parallel IPMs run in Õ(√n) depth per iteration over \
@@ -205,13 +206,13 @@ fn main() {
             args,
             "\n## Critical-path depth attribution (largest solve)\n"
         );
-        let mut cp: Vec<(String, Json)> = Vec::new();
+        let mut cp: Vec<(String, JsonValue)> = Vec::new();
         for (name, rep) in &critpaths {
             mdln!(args, "### {name}\n");
             mdln!(args, "{}", rep.to_markdown(10));
-            cp.push((name.clone(), Json::Raw(rep.to_json())));
+            cp.push((name.clone(), pmcf_obs::critpath_json(rep)));
         }
-        artifact.set("critpath", Json::Obj(cp));
+        artifact.set("critpath", JsonValue::Obj(cp));
     }
 
     if let Some((label, mut t)) = profile {
@@ -231,19 +232,7 @@ fn main() {
         }
         // PMCF_REPORT: fold the profiled tracker (spans, counters,
         // critpath) into the unified run report and write it out
-        if let Some(mut run) = pmcf_obs::take_run_report("table1_mcf") {
-            run.absorb_tracker(&t);
-            if let Some(path) = pmcf_obs::report_output_path() {
-                match run.write(&path) {
-                    Ok(()) => eprintln!(
-                        "table1_mcf: wrote {} run report to {}",
-                        pmcf_obs::REPORT_SCHEMA,
-                        path.display()
-                    ),
-                    Err(e) => eprintln!("table1_mcf: run report write failed: {e}"),
-                }
-            }
-        }
+        pmcf_obs::report_finish("table1_mcf", Some(&t));
     }
     artifact.emit(&args);
     pmcf_obs::trace_finish();

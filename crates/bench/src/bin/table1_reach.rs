@@ -7,7 +7,7 @@
 //! Flags: `[max_blocks] --seed <u64> --json <path>`.
 
 use pmcf_baselines::bfs;
-use pmcf_bench::{mdln, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::corollaries::reachability;
 use pmcf_core::SolverConfig;
 use pmcf_graph::generators;
@@ -45,12 +45,12 @@ fn main() {
             tb.depth()
         );
         artifact.row(vec![
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("diameter", Json::from(2 * k)),
-            ("algorithm", Json::from("parallel BFS")),
-            ("work", Json::from(tb.work())),
-            ("depth", Json::from(tb.depth())),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("diameter", (2 * k).into()),
+            ("algorithm", "parallel BFS".into()),
+            ("work", tb.work().into()),
+            ("depth", tb.depth().into()),
         ]);
         let _ = levels;
         let mut ti = tracker_from_env();
@@ -65,12 +65,12 @@ fn main() {
             ti.depth()
         );
         artifact.row(vec![
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("diameter", Json::from(2 * k)),
-            ("algorithm", Json::from("IPM (Cor. 1.5)")),
-            ("work", Json::from(ti.work())),
-            ("depth", Json::from(ti.depth())),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("diameter", (2 * k).into()),
+            ("algorithm", "IPM (Cor. 1.5)".into()),
+            ("work", ti.work().into()),
+            ("depth", ti.depth().into()),
         ]);
         if let Some(rep) = ti.profile_report() {
             profile = Some((format!("IPM reachability, n={n}, m={m}"), rep));

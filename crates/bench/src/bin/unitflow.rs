@@ -10,7 +10,7 @@
 //! span-tree profile of the last run; `PMCF_REPORT=<path>` writes a
 //! unified `pmcf.report/v1` run report.
 
-use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs, Json};
+use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_expander::unit_flow::{parallel_unit_flow, UnitFlowProblem, UnitFlowState};
 use pmcf_graph::generators;
 use pmcf_pram::profile::tracker_from_env;
@@ -60,13 +60,13 @@ fn main() {
                 out.sweeps
             );
             artifact.row(vec![
-                ("n", Json::from(n)),
-                ("m", Json::from(g.m())),
-                ("sources", Json::from(k)),
-                ("demand", Json::from(12.0 * k as f64)),
-                ("work", Json::from(t.work())),
-                ("depth", Json::from(t.depth())),
-                ("sweeps", Json::from(out.sweeps)),
+                ("n", n.into()),
+                ("m", g.m().into()),
+                ("sources", k.into()),
+                ("demand", (12.0 * k as f64).into()),
+                ("work", t.work().into()),
+                ("depth", t.depth().into()),
+                ("sweeps", out.sweeps.into()),
             ]);
             if let Some(rep) = t.profile_report() {
                 profile = Some((format!("unit flow, n={n}, sources={k}"), rep));
@@ -107,13 +107,13 @@ fn main() {
             "| {n} | {m} | {cycles} | {allocs} | {per_iter:.2} | {zero} |"
         );
         artifact.row(vec![
-            ("section", Json::from("pool")),
-            ("scenario", Json::from("take_give_cycle")),
-            ("n", Json::from(n)),
-            ("m", Json::from(m)),
-            ("rounds", Json::from(cycles)),
-            ("allocs_per_iter", Json::from(per_iter)),
-            ("pool_zero_alloc", Json::from(zero)),
+            ("section", "pool".into()),
+            ("scenario", "take_give_cycle".into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("rounds", cycles.into()),
+            ("allocs_per_iter", per_iter.into()),
+            ("pool_zero_alloc", zero.into()),
         ]);
 
         // advisory: a full routing call on a pooled state (level buckets
@@ -141,32 +141,18 @@ fn main() {
             "\nFull `parallel_unit_flow` call on a pooled state: {call_allocs} allocations (advisory)."
         );
         artifact.row(vec![
-            ("section", Json::from("pool")),
-            ("scenario", Json::from("full_call")),
-            ("n", Json::from(g.n())),
-            ("m", Json::from(g.m())),
-            ("full_call_allocs", Json::from(call_allocs)),
+            ("section", "pool".into()),
+            ("scenario", "full_call".into()),
+            ("n", g.n().into()),
+            ("m", g.m().into()),
+            ("full_call_allocs", call_allocs.into()),
         ]);
     }
 
     if let Some((label, rep)) = profile {
         artifact.attach_profile_report(&label, &rep);
     }
-    if let Some(mut run) = pmcf_obs::take_run_report("unitflow") {
-        if let Some(t) = last_tracker.as_ref() {
-            run.absorb_tracker(t);
-        }
-        if let Some(path) = pmcf_obs::report_output_path() {
-            match run.write(&path) {
-                Ok(()) => eprintln!(
-                    "unitflow: wrote {} run report to {}",
-                    pmcf_obs::REPORT_SCHEMA,
-                    path.display()
-                ),
-                Err(e) => eprintln!("unitflow: run report write failed: {e}"),
-            }
-        }
-    }
+    pmcf_obs::report_finish("unitflow", last_tracker.as_ref());
     artifact.emit(&args);
     pmcf_obs::finish();
 }

@@ -418,20 +418,15 @@ pub fn gate(
             "bench mismatch: baseline is {bench:?}, candidate is {cand_bench:?}"
         ));
     }
-    let seed = candidate.get("seed").and_then(|v| match v {
-        JsonValue::UInt(u) => Some(*u),
-        JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    });
-    let empty: Vec<JsonValue> = Vec::new();
+    let seed = candidate.get("seed").and_then(JsonValue::as_u64);
     let base_rows = baseline
         .get("rows")
         .and_then(JsonValue::as_arr)
-        .unwrap_or(&empty);
+        .unwrap_or(&[]);
     let cand_rows = candidate
         .get("rows")
         .and_then(JsonValue::as_arr)
-        .unwrap_or(&empty);
+        .unwrap_or(&[]);
 
     let mut findings = Vec::new();
     let mut rows_compared = 0;

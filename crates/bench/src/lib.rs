@@ -13,7 +13,7 @@ pub mod artifact;
 pub mod gate;
 
 pub use alloc_counter::{alloc_bytes, alloc_count, measure_allocs};
-pub use artifact::{Artifact, BenchArgs, Json};
+pub use artifact::{Artifact, BenchArgs};
 
 /// The three solver rows of Table 1 (left).
 pub fn configs() -> Vec<(&'static str, SolverConfig)> {

@@ -58,7 +58,7 @@ pub(crate) fn emit_solve_start(
 /// `tracker-reconciliation` monitor).
 pub(crate) fn emit_solve_end(engine: &'static str, t: &Tracker, stats: &PathStats) {
     pmcf_obs::emit_with("solve.end", || {
-        let mut fields: Vec<(&'static str, pmcf_obs::Value)> = vec![
+        let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
             ("engine", engine.into()),
             ("iterations", stats.iterations.into()),
             ("work", t.work().into()),

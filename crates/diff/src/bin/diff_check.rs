@@ -14,7 +14,7 @@
 //! and the exit code is 1.
 
 use pmcf_diff::{families, run_scenario, CaseFile};
-use pmcf_obs::{emit, Value};
+use pmcf_obs::emit_with;
 use std::path::PathBuf;
 
 struct Args {
@@ -153,15 +153,14 @@ fn fuzz(args: &Args) -> i32 {
                 format!("monitor failures: {}", report.monitor_failures.join("; "))
             });
             eprintln!("MISMATCH  {} seed {seed}: {reason}", f.name);
-            emit(
-                "diff.mismatch",
+            emit_with("diff.mismatch", || {
                 vec![
-                    ("family", Value::Str(f.name.to_string())),
-                    ("seed", Value::U64(seed)),
-                    ("task", Value::Str(sc.task().to_string())),
-                    ("reason", Value::Str(reason.clone())),
-                ],
-            );
+                    ("family", f.name.into()),
+                    ("seed", seed.into()),
+                    ("task", sc.task().into()),
+                    ("reason", reason.as_str().into()),
+                ]
+            });
             // shrink while the failure (any unclean report) persists
             let small = pmcf_diff::shrink::shrink(&sc, &|cand| !run_scenario(cand).clean());
             let case = CaseFile {
@@ -176,14 +175,13 @@ fn fuzz(args: &Args) -> i32 {
             match case.write_to(&path) {
                 Ok(()) => {
                     eprintln!("          shrunken case written to {}", path.display());
-                    emit(
-                        "diff.case_saved",
+                    emit_with("diff.case_saved", || {
                         vec![
-                            ("family", Value::Str(f.name.to_string())),
-                            ("seed", Value::U64(seed)),
-                            ("path", Value::Str(path.display().to_string())),
-                        ],
-                    );
+                            ("family", f.name.into()),
+                            ("seed", seed.into()),
+                            ("path", path.display().to_string().into()),
+                        ]
+                    });
                 }
                 Err(e) => eprintln!("          could not write case file: {e}"),
             }

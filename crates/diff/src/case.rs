@@ -6,19 +6,26 @@
 //! `cargo test` and by the CI fuzz-smoke leg, so a fixed bug stays
 //! fixed.
 //!
-//! Format notes: scalars that index vertices (`n`, `s`, `t`, `nl`) and
-//! the seed are plain JSON numbers; every `i64` payload (capacities,
+//! Format notes: scalars that count or index vertices and edges (`n`,
+//! `s`, `t`, `nl`, edge endpoints, delta indices) and the seed are plain
+//! JSON integers, read exactly (`n` at most 2^20); every
+//! `i64` payload (capacities,
 //! costs, demands, weights) is a JSON *string*, because the overflow
 //! boundary cases carry values near `2^62` that a float-backed JSON
 //! number cannot round-trip exactly.
 
 use crate::families::{DeltaSpec, Scenario};
 use pmcf_graph::{DiGraph, McfProblem};
-use pmcf_obs::json::{parse, JsonValue};
+use pmcf_obs::json::{self, JsonValue};
 use std::path::Path;
 
 /// The schema tag every case file starts with.
 pub const SCHEMA: &str = "pmcf.case/v1";
+
+/// Largest vertex count a case file may declare — far above anything a
+/// family generates, and small enough that loading never allocates
+/// absurd amounts.
+const MAX_VERTICES: usize = 1 << 20;
 
 /// A replayable differential-test case.
 #[derive(Clone, Debug)]
@@ -33,164 +40,114 @@ pub struct CaseFile {
     pub scenario: Scenario,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// `i64` payloads travel as JSON strings (see module docs).
+fn i64_strings(xs: &[i64]) -> JsonValue {
+    xs.iter().map(|x| x.to_string().into()).collect()
 }
 
-fn i64s(xs: &[i64]) -> String {
-    let inner: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
-    format!("[{}]", inner.join(","))
-}
-
-fn edges_json(g: &DiGraph) -> String {
-    let inner: Vec<String> = g
+/// The scenario's `n` and `edges` keys followed by `rest`.
+fn with_graph<const K: usize>(g: &DiGraph, rest: [(&'static str, JsonValue); K]) -> JsonValue {
+    let edges = g
         .edges()
         .iter()
-        .map(|&(u, v)| format!("[{u},{v}]"))
+        .map(|&(u, v)| JsonValue::Arr(vec![u.into(), v.into()]))
         .collect();
-    format!("[{}]", inner.join(","))
+    JsonValue::obj(
+        [("n", g.n().into()), ("edges", edges)]
+            .into_iter()
+            .chain(rest),
+    )
+}
+
+fn mcf_pairs(p: &McfProblem) -> [(&'static str, JsonValue); 3] {
+    [
+        ("cap", i64_strings(&p.cap)),
+        ("cost", i64_strings(&p.cost)),
+        ("demand", i64_strings(&p.demand)),
+    ]
+}
+
+fn delta_json(d: &DeltaSpec) -> JsonValue {
+    let edge_value = |&(e, x): &(usize, i64)| JsonValue::Arr(vec![e.into(), x.to_string().into()]);
+    JsonValue::obj([
+        (
+            "insert",
+            d.insert
+                .iter()
+                .map(|&(f, t, u, c)| {
+                    JsonValue::Arr(vec![
+                        f.into(),
+                        t.into(),
+                        u.to_string().into(),
+                        c.to_string().into(),
+                    ])
+                })
+                .collect(),
+        ),
+        ("delete", d.delete.iter().map(|&e| e.into()).collect()),
+        ("set_cost", d.set_cost.iter().map(edge_value).collect()),
+        ("set_cap", d.set_cap.iter().map(edge_value).collect()),
+    ])
 }
 
 impl CaseFile {
-    /// Serialize as a single pretty-enough JSON object.
-    pub fn to_json(&self) -> String {
+    /// The `pmcf.case/v1` document.
+    pub fn to_json(&self) -> JsonValue {
         let scenario = match &self.scenario {
-            Scenario::Mcf(p) => format!(
-                "{{\"n\":{},\"edges\":{},\"cap\":{},\"cost\":{},\"demand\":{}}}",
-                p.n(),
-                edges_json(&p.graph),
-                i64s(&p.cap),
-                i64s(&p.cost),
-                i64s(&p.demand)
-            ),
+            Scenario::Mcf(p) => with_graph(&p.graph, mcf_pairs(p)),
             Scenario::ResolveChurn { base, deltas } => {
-                let ds: Vec<String> = deltas
-                    .iter()
-                    .map(|d| {
-                        let ins: Vec<String> = d
-                            .insert
-                            .iter()
-                            .map(|&(f, t, u, c)| format!("[{f},{t},\"{u}\",\"{c}\"]"))
-                            .collect();
-                        let del: Vec<String> = d.delete.iter().map(|e| e.to_string()).collect();
-                        let sc: Vec<String> = d
-                            .set_cost
-                            .iter()
-                            .map(|&(e, c)| format!("[{e},\"{c}\"]"))
-                            .collect();
-                        let su: Vec<String> = d
-                            .set_cap
-                            .iter()
-                            .map(|&(e, u)| format!("[{e},\"{u}\"]"))
-                            .collect();
-                        format!(
-                            "{{\"insert\":[{}],\"delete\":[{}],\"set_cost\":[{}],\"set_cap\":[{}]}}",
-                            ins.join(","),
-                            del.join(","),
-                            sc.join(","),
-                            su.join(",")
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"n\":{},\"edges\":{},\"cap\":{},\"cost\":{},\"demand\":{},\"deltas\":[{}]}}",
-                    base.n(),
-                    edges_json(&base.graph),
-                    i64s(&base.cap),
-                    i64s(&base.cost),
-                    i64s(&base.demand),
-                    ds.join(",")
-                )
+                let [cap, cost, demand] = mcf_pairs(base);
+                let deltas = ("deltas", deltas.iter().map(delta_json).collect());
+                with_graph(&base.graph, [cap, cost, demand, deltas])
             }
-            Scenario::MaxFlow { g, cap, s, t } => format!(
-                "{{\"n\":{},\"edges\":{},\"cap\":{},\"s\":{s},\"t\":{t}}}",
-                g.n(),
-                edges_json(g),
-                i64s(cap)
+            Scenario::MaxFlow { g, cap, s, t } => with_graph(
+                g,
+                [
+                    ("cap", i64_strings(cap)),
+                    ("s", (*s).into()),
+                    ("t", (*t).into()),
+                ],
             ),
-            Scenario::Matching { g, nl } => format!(
-                "{{\"n\":{},\"edges\":{},\"nl\":{nl}}}",
-                g.n(),
-                edges_json(g)
-            ),
-            Scenario::Sssp { g, w, s } => format!(
-                "{{\"n\":{},\"edges\":{},\"w\":{},\"s\":{s}}}",
-                g.n(),
-                edges_json(g),
-                i64s(w)
-            ),
-            Scenario::Reach { g, s } => {
-                format!("{{\"n\":{},\"edges\":{},\"s\":{s}}}", g.n(), edges_json(g))
+            Scenario::Matching { g, nl } => with_graph(g, [("nl", (*nl).into())]),
+            Scenario::Sssp { g, w, s } => {
+                with_graph(g, [("w", i64_strings(w)), ("s", (*s).into())])
             }
+            Scenario::Reach { g, s } => with_graph(g, [("s", (*s).into())]),
         };
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"family\": \"{}\",\n  \"seed\": {},\n  \"task\": \"{}\",\n  \"reason\": \"{}\",\n  \"scenario\": {}\n}}\n",
-            SCHEMA,
-            esc(&self.family),
-            self.seed,
-            self.scenario.task(),
-            esc(&self.reason),
-            scenario
-        )
+        JsonValue::obj([
+            ("schema", SCHEMA.into()),
+            ("family", self.family.as_str().into()),
+            ("seed", self.seed.into()),
+            ("task", self.scenario.task().into()),
+            ("reason", self.reason.as_str().into()),
+            ("scenario", scenario),
+        ])
     }
 
     /// Parse a case file.
     pub fn from_json(src: &str) -> Result<CaseFile, String> {
-        let v = parse(src)?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("missing schema")?;
+        let v = json::parse(src)?;
+        let schema = v.field("schema", JsonValue::as_str)?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA})"));
         }
-        let family = v
-            .get("family")
-            .and_then(|s| s.as_str())
-            .ok_or("missing family")?
-            .to_string();
-        let seed = v
-            .get("seed")
-            .and_then(|s| s.as_f64())
-            .ok_or("missing seed")? as u64;
-        let reason = v
-            .get("reason")
-            .and_then(|s| s.as_str())
-            .unwrap_or("")
-            .to_string();
-        let task = v
-            .get("task")
-            .and_then(|s| s.as_str())
-            .ok_or("missing task")?;
+        let task = v.field("task", JsonValue::as_str)?;
         let sc = v.get("scenario").ok_or("missing scenario")?;
-        let scenario = parse_scenario(task, sc)?;
         Ok(CaseFile {
-            family,
-            seed,
-            reason,
-            scenario,
+            family: v.field("family", JsonValue::as_str)?.to_string(),
+            seed: v.field("seed", JsonValue::as_u64)?,
+            reason: v
+                .get("reason")
+                .and_then(JsonValue::as_str)
+                .unwrap_or("")
+                .to_string(),
+            scenario: parse_scenario(task, sc)?,
         })
     }
 
     /// Write to `path` (creating parent directories).
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        json::write_file(path, &self.to_json())
     }
 
     /// Load from `path`.
@@ -200,54 +157,40 @@ impl CaseFile {
     }
 }
 
-fn get_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(|x| x.as_f64())
-        .map(|f| f as usize)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
+/// A vertex count, vertex or edge index: an exact non-negative integer.
+fn as_index(v: &JsonValue) -> Option<usize> {
+    v.as_u64().and_then(|x| usize::try_from(x).ok())
+}
+
+fn index(v: &JsonValue, what: &str) -> Result<usize, String> {
+    as_index(v).ok_or_else(|| format!("{what} must be a non-negative integer"))
 }
 
 fn get_i64s(v: &JsonValue, key: &str) -> Result<Vec<i64>, String> {
-    let arr = v
-        .get(key)
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| format!("missing array field {key:?}"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_str()
-                .ok_or_else(|| format!("{key:?} entries must be strings"))?
-                .parse::<i64>()
-                .map_err(|e| format!("{key:?} entry: {e}"))
-        })
+    v.field(key, JsonValue::as_arr)?
+        .iter()
+        .map(|x| strnum(x, key))
         .collect()
 }
 
 fn get_graph(v: &JsonValue) -> Result<DiGraph, String> {
-    let n = get_usize(v, "n")?;
-    let arr = v
-        .get("edges")
-        .and_then(|x| x.as_arr())
-        .ok_or("missing edges array")?;
+    let n = v.field("n", as_index)?;
+    if n > MAX_VERTICES {
+        return Err(format!("n = {n} exceeds the {MAX_VERTICES}-vertex limit"));
+    }
+    let arr = v.field("edges", JsonValue::as_arr)?;
     let mut edges = Vec::with_capacity(arr.len());
     for e in arr {
-        let pair = e.as_arr().ok_or("edge must be a [u, v] pair")?;
-        if pair.len() != 2 {
+        let [a, b] = e.as_arr().ok_or("edge must be a [u, v] pair")? else {
             return Err("edge must be a [u, v] pair".into());
-        }
-        let u = pair[0].as_f64().ok_or("edge endpoint must be a number")? as usize;
-        let w = pair[1].as_f64().ok_or("edge endpoint must be a number")? as usize;
+        };
+        let (u, w) = (index(a, "edge endpoint")?, index(b, "edge endpoint")?);
         if u >= n || w >= n {
             return Err(format!("edge ({u}, {w}) out of range for n = {n}"));
         }
         edges.push((u, w));
     }
     Ok(DiGraph::from_edges(n, edges))
-}
-
-fn num(v: &JsonValue, what: &str) -> Result<usize, String> {
-    v.as_f64()
-        .map(|f| f as usize)
-        .ok_or_else(|| format!("{what} must be a number"))
 }
 
 fn strnum(v: &JsonValue, what: &str) -> Result<i64, String> {
@@ -258,34 +201,27 @@ fn strnum(v: &JsonValue, what: &str) -> Result<i64, String> {
 }
 
 fn parse_delta(v: &JsonValue) -> Result<DeltaSpec, String> {
-    let arr_of = |key: &str| -> Result<&[JsonValue], String> {
-        v.get(key)
-            .and_then(|x| x.as_arr())
-            .ok_or_else(|| format!("delta missing array field {key:?}"))
-    };
     let mut d = DeltaSpec::default();
-    for ins in arr_of("insert")? {
-        let row = ins.as_arr().ok_or("insert entry must be an array")?;
-        if row.len() != 4 {
+    for ins in v.field("insert", JsonValue::as_arr)? {
+        let [from, to, cap, cost] = ins.as_arr().ok_or("insert entry must be an array")? else {
             return Err("insert entry must be [from, to, cap, cost]".into());
-        }
+        };
         d.insert.push((
-            num(&row[0], "insert.from")?,
-            num(&row[1], "insert.to")?,
-            strnum(&row[2], "insert.cap")?,
-            strnum(&row[3], "insert.cost")?,
+            index(from, "insert.from")?,
+            index(to, "insert.to")?,
+            strnum(cap, "insert.cap")?,
+            strnum(cost, "insert.cost")?,
         ));
     }
-    for del in arr_of("delete")? {
-        d.delete.push(num(del, "delete entry")?);
+    for del in v.field("delete", JsonValue::as_arr)? {
+        d.delete.push(index(del, "delete entry")?);
     }
     for (key, out) in [("set_cost", &mut d.set_cost), ("set_cap", &mut d.set_cap)] {
-        for entry in arr_of(key)? {
-            let row = entry.as_arr().ok_or("set entry must be an array")?;
-            if row.len() != 2 {
+        for entry in v.field(key, JsonValue::as_arr)? {
+            let [e, x] = entry.as_arr().ok_or("set entry must be an array")? else {
                 return Err(format!("{key} entry must be [edge, value]"));
-            }
-            out.push((num(&row[0], "set edge")?, strnum(&row[1], "set value")?));
+            };
+            out.push((index(e, "set edge")?, strnum(x, "set value")?));
         }
     }
     Ok(d)
@@ -301,7 +237,7 @@ fn parse_scenario(task: &str, v: &JsonValue) -> Result<Scenario, String> {
             if cap.len() != g.m() || cost.len() != g.m() || demand.len() != g.n() {
                 return Err("cap/cost/demand lengths do not match the graph".into());
             }
-            if demand.iter().sum::<i64>() != 0 {
+            if demand.iter().try_fold(0i64, |a, &d| a.checked_add(d)) != Some(0) {
                 return Err("demands must sum to zero".into());
             }
             if cap.iter().any(|&u| u < 0) {
@@ -316,13 +252,11 @@ fn parse_scenario(task: &str, v: &JsonValue) -> Result<Scenario, String> {
             if cap.len() != g.m() || cost.len() != g.m() || demand.len() != g.n() {
                 return Err("cap/cost/demand lengths do not match the graph".into());
             }
-            if demand.iter().sum::<i64>() != 0 {
+            if demand.iter().try_fold(0i64, |a, &d| a.checked_add(d)) != Some(0) {
                 return Err("demands must sum to zero".into());
             }
             let deltas = v
-                .get("deltas")
-                .and_then(|x| x.as_arr())
-                .ok_or("missing deltas array")?
+                .field("deltas", JsonValue::as_arr)?
                 .iter()
                 .map(parse_delta)
                 .collect::<Result<Vec<_>, _>>()?;
@@ -338,13 +272,13 @@ fn parse_scenario(task: &str, v: &JsonValue) -> Result<Scenario, String> {
             }
             Ok(Scenario::MaxFlow {
                 cap,
-                s: get_usize(v, "s")?,
-                t: get_usize(v, "t")?,
+                s: v.field("s", as_index)?,
+                t: v.field("t", as_index)?,
                 g,
             })
         }
         "matching" => Ok(Scenario::Matching {
-            nl: get_usize(v, "nl")?,
+            nl: v.field("nl", as_index)?,
             g,
         }),
         "sssp" => {
@@ -354,12 +288,12 @@ fn parse_scenario(task: &str, v: &JsonValue) -> Result<Scenario, String> {
             }
             Ok(Scenario::Sssp {
                 w,
-                s: get_usize(v, "s")?,
+                s: v.field("s", as_index)?,
                 g,
             })
         }
         "reachability" => Ok(Scenario::Reach {
-            s: get_usize(v, "s")?,
+            s: v.field("s", as_index)?,
             g,
         }),
         other => Err(format!("unknown task {other:?}")),
@@ -381,7 +315,7 @@ mod tests {
                     reason: "round-trip \"test\"\n".to_string(),
                     scenario: (f.gen)(seed),
                 };
-                let back = CaseFile::from_json(&case.to_json())
+                let back = CaseFile::from_json(&case.to_json().to_string())
                     .unwrap_or_else(|e| panic!("{}: {e}", f.name));
                 assert_eq!(back.family, case.family);
                 assert_eq!(back.seed, seed);
@@ -405,7 +339,7 @@ mod tests {
             reason: String::new(),
             scenario: Scenario::Mcf(McfProblem::new(g, vec![1], vec![c], vec![-1, 1])),
         };
-        let back = CaseFile::from_json(&case.to_json()).unwrap();
+        let back = CaseFile::from_json(&case.to_json().to_string()).unwrap();
         let Scenario::Mcf(p) = back.scenario else {
             panic!("wrong task");
         };
@@ -420,5 +354,23 @@ mod tests {
             "{{\"schema\":\"{SCHEMA}\",\"family\":\"x\",\"seed\":0,\"task\":\"reachability\",\"scenario\":{{\"n\":2,\"edges\":[[0,5]],\"s\":0}}}}"
         );
         assert!(CaseFile::from_json(&bad_edge).is_err());
+        // vertex counts and indices are exact integers within bounds
+        for scenario in [
+            r#"{"n":1e19,"edges":[],"s":0}"#,
+            r#"{"n":3.9,"edges":[[0,-1]],"s":0}"#,
+            r#"{"n":3,"edges":[[0,1.0]],"s":0}"#,
+            r#"{"n":2000000,"edges":[],"s":0}"#,
+        ] {
+            let doc = format!(
+                r#"{{"schema":"{SCHEMA}","family":"x","seed":0,"task":"reachability","scenario":{scenario}}}"#
+            );
+            assert!(CaseFile::from_json(&doc).is_err(), "{scenario}");
+        }
+        // demands whose sum overflows i64 are an error, not a panic
+        let overflow = format!(
+            r#"{{"schema":"{SCHEMA}","family":"x","seed":0,"task":"mcf","scenario":{{"n":2,"edges":[],"cap":[],"cost":[],"demand":["{}","1"]}}}}"#,
+            i64::MAX
+        );
+        assert!(CaseFile::from_json(&overflow).is_err());
     }
 }

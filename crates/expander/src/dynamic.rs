@@ -306,7 +306,7 @@ impl DynamicExpanderDecomposition {
                         let (alive, phi) = (part.view.alive_count, self.phi);
                         let (deleted, n_spill) = (local_edges.len(), spilled.len());
                         pmcf_obs::emit_with("expander.prune", || {
-                            let mut fields: Vec<(&'static str, pmcf_obs::Value)> = vec![
+                            let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
                                 ("part_edges", alive.into()),
                                 ("deleted", deleted.into()),
                                 ("spilled", n_spill.into()),
@@ -436,7 +436,7 @@ impl DynamicExpanderDecomposition {
             bucket.parts.push(PartState { pruner, view });
         }
         pmcf_obs::emit_with("expander.rebuild", || {
-            let mut fields: Vec<(&'static str, pmcf_obs::Value)> = vec![
+            let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
                 ("edges", total_edges.into()),
                 ("parts", n_parts.into()),
                 ("bucket", target.into()),

@@ -14,7 +14,7 @@
 //! Exit codes: 0 ok, 1 cost-identity assertion failed, 2 usage / I/O /
 //! parse error.
 
-use pmcf_obs::{diff_reports, ReportDiff, RunReport};
+use pmcf_obs::{diff_reports, json, ReportDiff, RunReport};
 use std::process::ExitCode;
 
 struct Cli {
@@ -74,32 +74,20 @@ fn parse_cli() -> Cli {
     }
 }
 
-fn load(path: &str) -> Result<RunReport, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    RunReport::from_json(&src).map_err(|e| format!("{path}: {e}"))
-}
-
 fn write_json(spec: &str, diff: &ReportDiff) -> Result<(), String> {
-    let mut body = diff.to_json();
-    body.push('\n');
+    let doc = diff.to_json();
     if spec == "-" {
-        print!("{body}");
+        println!("{doc}");
         return Ok(());
     }
-    let path = std::path::Path::new(spec);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, body).map_err(|e| format!("writing {spec}: {e}"))
+    json::write_file(spec.as_ref(), &doc).map_err(|e| format!("writing {spec}: {e}"))
 }
 
 fn main() -> ExitCode {
     let cli = parse_cli();
     let run = || -> Result<bool, String> {
-        let base = load(&cli.baseline)?;
-        let cand = load(&cli.candidate)?;
+        let base = RunReport::load(cli.baseline.as_ref())?;
+        let cand = RunReport::load(cli.candidate.as_ref())?;
         let diff = diff_reports(&base, &cand);
         // markdown goes to stderr when the JSON stream owns stdout,
         // mirroring the bench bins' `--json -` convention

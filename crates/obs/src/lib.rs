@@ -3,12 +3,14 @@
 //! Five pieces, layered bottom-up:
 //!
 //! 1. **Flight recorder** ([`recorder`]) — a bounded in-memory ring of
-//!    [`Event`]s fed by `emit` calls sprinkled through the solver
+//!    [`Event`]s fed by [`emit_with`] calls sprinkled through the solver
 //!    (IPM iterations, expander maintenance, sampler calls). Set
 //!    `PMCF_EVENTS=<path>` to dump a `pmcf.events/v1` JSONL recording on
 //!    completion *and* on panic.
-//! 2. **Replay** ([`json`]) — a dependency-free JSON parser that reads a
-//!    recording (or a `pmcf.bench/v1` artifact) back into events.
+//! 2. **JSON** ([`json`]) — the workspace's one JSON value
+//!    ([`JsonValue`]): every document is built as one and rendered by
+//!    its `Display` impl, and the dependency-free parser reads
+//!    recordings, reports and `pmcf.bench/v1` artifacts back.
 //! 3. **Invariant monitors** ([`monitor`]) — deterministic folds over an
 //!    event stream flagging violations of the guarantees the paper
 //!    proves: μ-monotonicity, centrality bounds, certified conductance,
@@ -26,10 +28,10 @@
 //!    one per-iteration call: it feeds both the `ipm.iter` event and the
 //!    report's convergence row.
 //!
-//! The crate depends only on `pmcf-pram` (JSON string escaping, span
-//! slices) and the in-tree `rayon` shim (pool telemetry), both of which
-//! sit below every solver crate, so the whole workspace can emit events
-//! without cycles.
+//! The crate depends only on `pmcf-pram` (span trees, critical paths,
+//! span slices) and the in-tree `rayon` shim (pool telemetry), both of
+//! which sit below every solver crate, so the whole workspace can emit
+//! events without cycles.
 
 #![warn(missing_docs)]
 
@@ -41,15 +43,16 @@ pub mod report;
 pub mod reportdiff;
 pub mod tracevent;
 
-pub use event::{Event, Value, SCHEMA};
+pub use event::{Event, SCHEMA};
+pub use json::JsonValue;
 pub use monitor::{all_ok, run_monitors, Verdict};
 pub use recorder::{
-    emit, emit_with, finish, init_from_env, install, recording, uninstall, with_recorder,
-    FlightRecorder,
+    emit_with, finish, init_from_env, install, recording, uninstall, with_recorder, FlightRecorder,
 };
 pub use report::{
-    ipm_iter_listening, record_ipm_iter, report_begin, report_init_from_env, report_output_path,
-    take_run_report, IpmIterRow, RunReport, REPORT_ENV, REPORT_SCHEMA,
+    critpath_json, ipm_iter_listening, profile_json, record_ipm_iter, report_begin, report_finish,
+    report_init_from_env, take_run_report, IpmIterRow, RunReport, CRITPATH_SCHEMA, PROFILE_SCHEMA,
+    REPORT_ENV, REPORT_SCHEMA,
 };
 pub use reportdiff::{diff_reports, DiffStatus, ReportDiff, SpanDelta, DIFF_SCHEMA};
 pub use tracevent::{trace_finish, trace_init_from_env, TRACE_ENV, TRACE_SCHEMA};

@@ -307,9 +307,10 @@ fn iteration_envelope(events: &[Event]) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, Value};
+    use crate::event::Event;
+    use crate::json::JsonValue;
 
-    fn ev(kind: &str, fields: Vec<(&str, Value)>) -> Event {
+    fn ev(kind: &str, fields: Vec<(&str, JsonValue)>) -> Event {
         Event::new(kind, fields)
     }
 

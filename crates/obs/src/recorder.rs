@@ -13,10 +13,10 @@
 //! so a crashing run still leaves its recording behind
 //! (`PMCF_EVENTS=<path>` → dump on exit *and* on panic).
 
-use crate::event::{Event, Value, SCHEMA};
+use crate::event::{Event, SCHEMA};
+use crate::json::{self, JsonValue};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -89,30 +89,25 @@ impl FlightRecorder {
         self.events.iter().cloned().collect()
     }
 
-    /// Serialize as JSONL: a schema header line, then one line per event.
+    /// Serialize as JSONL: a schema header line, then one line per event
+    /// (lines are newline-separated; no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{}\",\"events\":{},\"dropped\":{}}}\n",
-            SCHEMA,
-            self.events.len(),
-            self.dropped
-        );
+        let header = JsonValue::obj([
+            ("schema", SCHEMA.into()),
+            ("events", self.events.len().into()),
+            ("dropped", self.dropped.into()),
+        ]);
+        let mut out = header.to_string();
         for e in &self.events {
-            out.push_str(&e.to_json_line());
             out.push('\n');
+            out.push_str(&e.to_json().to_string());
         }
         out
     }
 
     /// Write the JSONL recording to `path` (creating parent directories).
     pub fn dump_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())
+        json::write_file(path, &self.to_jsonl())
     }
 
     /// Write to the configured output path, if any. Returns whether a
@@ -165,23 +160,11 @@ pub fn recording() -> bool {
     RECORDER.with(|r| r.borrow().is_some())
 }
 
-/// Emit an event (no-op when not recording).
+/// Emit an event (no-op when not recording). `f` builds the fields and
+/// runs only when recording, so hot paths pay nothing for field
+/// assembly when disabled.
 #[inline]
-pub fn emit(kind: &str, fields: Vec<(&str, Value)>) {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.push(Event::new(kind, fields));
-        }
-    });
-}
-
-/// Emit with deferred field construction — `f` runs only when recording,
-/// so hot paths pay nothing for field assembly when disabled.
-#[inline]
-pub fn emit_with(kind: &str, f: impl FnOnce() -> Vec<(&'static str, Value)>) {
+pub fn emit_with(kind: &str, f: impl FnOnce() -> Vec<(&'static str, JsonValue)>) {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -215,7 +198,7 @@ pub fn init_from_env() -> bool {
             let _ = with_recorder(|rec| {
                 rec.push(Event::new(
                     "panic",
-                    vec![("message", Value::Str(format!("{info}")))],
+                    vec![("message", info.to_string().into())],
                 ));
                 rec.dump();
             });
@@ -241,7 +224,7 @@ mod tests {
     fn ring_keeps_latest_events() {
         let mut rec = FlightRecorder::new(3);
         for i in 0..7u64 {
-            rec.push(Event::new("e", vec![("i", Value::U64(i))]));
+            rec.push(Event::new("e", vec![("i", i.into())]));
         }
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.dropped(), 4);
@@ -254,7 +237,7 @@ mod tests {
     fn jsonl_has_header_and_one_line_per_event() {
         let mut rec = FlightRecorder::new(8);
         rec.push(Event::new("a", vec![]));
-        rec.push(Event::new("b", vec![("x", Value::F64(1.5))]));
+        rec.push(Event::new("b", vec![("x", 1.5.into())]));
         let out = rec.to_jsonl();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -267,11 +250,11 @@ mod tests {
     #[test]
     fn thread_local_install_emit_finish() {
         assert!(!recording());
-        emit("ignored", vec![]); // no-op without a recorder
+        emit_with("ignored", || panic!("no recorder is installed"));
         install(FlightRecorder::new(16));
         assert!(recording());
-        emit("hello", vec![("n", Value::U64(1))]);
-        emit_with("deferred", || vec![("n", Value::U64(2))]);
+        emit_with("hello", || vec![("n", 1u64.into())]);
+        emit_with("deferred", || vec![("n", 2u64.into())]);
         let rec = uninstall().unwrap();
         assert!(!recording());
         assert_eq!(rec.len(), 2);

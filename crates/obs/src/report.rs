@@ -16,87 +16,111 @@
 //!   [`record_ipm_iter`] (which also emits the `ipm.iter` event when a
 //!   flight recorder is installed), and `tracker_from_env` (in `pmcf-pram`)
 //!   switches the span profiler and depth ledger on automatically. At
-//!   the end of the run, [`take_run_report`] +
-//!   [`RunReport::absorb_tracker`] + [`RunReport::write`] land the
-//!   artifact.
+//!   the end of the run, [`report_finish`] lands the artifact.
 //! * **Builder** — call [`report_begin`] / [`record_ipm_iter`] /
 //!   [`take_run_report`] programmatically (tests, embedding harnesses).
 //!
 //! Reports round-trip through the in-tree JSON reader
 //! ([`RunReport::from_json`]), which is what the cross-run diff engine
-//! ([`crate::reportdiff`]) consumes.
+//! ([`crate::reportdiff`]) consumes. [`profile_json`] and
+//! [`critpath_json`] render `pmcf-pram`'s profile and critical path as
+//! the standalone `pmcf.profile/v1` and `pmcf.critpath/v1` documents; a
+//! span node has the same six keys there and in a report.
 //!
 //! With neither a report nor a flight recorder listening, an IPM
 //! iteration costs two relaxed atomic loads and builds no row.
 
-use crate::event::Value;
+use crate::json::{self, JsonValue};
 use crate::monitor::{run_monitors, Verdict};
 use crate::recorder::{self, FlightRecorder, DEFAULT_CAPACITY};
-use pmcf_pram::profile::{json_string, SpanReport};
+use pmcf_pram::profile::{ProfileReport, SpanReport};
 use pmcf_pram::{CritPathEntry, CritPathReport, Tracker};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 pub use pmcf_pram::profile::REPORT_ENV;
 
 /// Schema identifier stamped into every run report.
 pub const REPORT_SCHEMA: &str = "pmcf.report/v1";
+/// Schema identifier of a rendered span profile ([`profile_json`]).
+pub const PROFILE_SCHEMA: &str = "pmcf.profile/v1";
+/// Schema identifier of a rendered critical path ([`critpath_json`]).
+pub const CRITPATH_SCHEMA: &str = "pmcf.critpath/v1";
 
-/// One node of the span tree carried by a report (the profile tree with
-/// wall time flattened to nanoseconds so it serializes losslessly).
-///
-/// Work/depth are **inclusive** — a span's cost contains its children's
-/// (child scopes are subsets of the parent scope) — mirroring
-/// `pmcf.profile/v1`. Use [`ReportSpan::self_work`] and friends for
-/// exclusive ("self") costs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReportSpan {
-    /// Span name as passed to `Tracker::span`.
-    pub name: String,
-    /// Work accumulated inside this span across all invocations.
-    pub work: u64,
-    /// Depth accumulated inside this span across all invocations.
-    pub depth: u64,
-    /// Wall nanoseconds spent inside this span across all invocations.
-    pub wall_ns: u64,
-    /// Number of times the span was entered.
-    pub count: u64,
-    /// Nested spans, in first-entered order.
-    pub children: Vec<ReportSpan>,
+/// One span node with its children: the same six keys in
+/// `pmcf.profile/v1` and `pmcf.report/v1`.
+fn span_json(s: &SpanReport) -> JsonValue {
+    JsonValue::obj([
+        ("name", s.name.as_str().into()),
+        ("work", s.work.into()),
+        ("depth", s.depth.into()),
+        ("wall_ns", s.wall_ns().into()),
+        ("count", s.count.into()),
+        ("children", s.children.iter().map(span_json).collect()),
+    ])
 }
 
-impl ReportSpan {
-    /// Convert a profiler span (recursively).
-    pub fn from_profile(s: &SpanReport) -> ReportSpan {
-        ReportSpan {
-            name: s.name.clone(),
-            work: s.work,
-            depth: s.depth,
-            wall_ns: s.wall.as_nanos() as u64,
-            count: s.count,
-            children: s.children.iter().map(ReportSpan::from_profile).collect(),
+/// A span profile as a `pmcf.profile/v1` document: totals, the span
+/// tree, counters and histograms.
+pub fn profile_json(p: &ProfileReport) -> JsonValue {
+    let histogram = |h: &pmcf_pram::profile::Histogram| {
+        JsonValue::obj([
+            ("count", h.count.into()),
+            ("sum", h.sum.into()),
+            ("min", h.min.into()),
+            ("max", h.max.into()),
+            ("buckets", h.buckets.iter().map(|&b| b.into()).collect()),
+        ])
+    };
+    JsonValue::obj([
+        ("schema", PROFILE_SCHEMA.into()),
+        ("work", p.work.into()),
+        ("depth", p.depth.into()),
+        ("spans", p.spans.iter().map(span_json).collect()),
+        ("counters", counters_json(&p.counters)),
+        (
+            "histograms",
+            JsonValue::obj(p.histograms.iter().map(|(k, h)| (k.as_str(), histogram(h)))),
+        ),
+    ])
+}
+
+/// A critical path as a `pmcf.critpath/v1` document: totals and every
+/// span path with its depth and share of the total.
+pub fn critpath_json(c: &CritPathReport) -> JsonValue {
+    let share = |depth: u64| {
+        if c.total_depth > 0 {
+            depth as f64 / c.total_depth as f64
+        } else {
+            0.0
         }
-    }
+    };
+    JsonValue::obj([
+        ("schema", CRITPATH_SCHEMA.into()),
+        ("total_depth", c.total_depth.into()),
+        ("attributed_depth", c.attributed_depth.into()),
+        ("joins", c.joins.into()),
+        (
+            "spans",
+            c.entries
+                .iter()
+                .map(|e| {
+                    JsonValue::obj([
+                        ("path", e.path.as_str().into()),
+                        ("depth", e.depth.into()),
+                        ("share", share(e.depth).into()),
+                    ])
+                })
+                .collect(),
+        ),
+    ])
+}
 
-    /// Work charged in this span but not in any child (exclusive cost).
-    pub fn self_work(&self) -> u64 {
-        self.work
-            .saturating_sub(self.children.iter().map(|c| c.work).sum())
-    }
-
-    /// Depth charged in this span but not in any child.
-    pub fn self_depth(&self) -> u64 {
-        self.depth
-            .saturating_sub(self.children.iter().map(|c| c.depth).sum())
-    }
-
-    /// Wall nanoseconds spent in this span but not in any child.
-    pub fn self_wall_ns(&self) -> u64 {
-        self.wall_ns
-            .saturating_sub(self.children.iter().map(|c| c.wall_ns).sum())
-    }
+fn counters_json(counters: &BTreeMap<String, u64>) -> JsonValue {
+    JsonValue::obj(counters.iter().map(|(k, &v)| (k.as_str(), v.into())))
 }
 
 /// One IPM iteration: a row of the report's convergence table and the
@@ -130,9 +154,9 @@ impl IpmIterRow {
     /// The row as named fields, in serialization order: the `ipm.iter`
     /// event's fields and the keys of the report's convergence object.
     /// `step` is left out when the engine took no centering step.
-    pub fn fields(&self) -> Vec<(&'static str, Value)> {
+    pub fn fields(&self) -> Vec<(&'static str, JsonValue)> {
         let mut fields = vec![
-            ("engine", Value::from(self.engine.as_str())),
+            ("engine", self.engine.as_str().into()),
             ("iteration", self.iteration.into()),
             ("mu", self.mu.into()),
             ("gap", self.gap.into()),
@@ -147,32 +171,6 @@ impl IpmIterRow {
             ("depth", self.depth.into()),
         ]);
         fields
-    }
-}
-
-/// Critical-path attribution carried by a report (a flattened
-/// `pmcf.critpath/v1` snapshot).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CritSummary {
-    /// The tracker's total depth at snapshot time.
-    pub total_depth: u64,
-    /// Sum over entries (equals `total_depth` — the ledger is exact).
-    pub attributed_depth: u64,
-    /// Fork-join merge points folded into the attribution.
-    pub joins: u64,
-    /// Span paths on the critical path, deepest first.
-    pub entries: Vec<CritPathEntry>,
-}
-
-impl CritSummary {
-    /// Flatten a ledger report.
-    pub fn from_report(r: &CritPathReport) -> CritSummary {
-        CritSummary {
-            total_depth: r.total_depth,
-            attributed_depth: r.attributed_depth,
-            joins: r.joins,
-            entries: r.entries.clone(),
-        }
     }
 }
 
@@ -208,11 +206,11 @@ pub struct RunReport {
     /// Total charged depth (thread-count independent).
     pub depth: u64,
     /// Top-level spans of the profile tree.
-    pub spans: Vec<ReportSpan>,
+    pub spans: Vec<SpanReport>,
     /// Monotone counters (includes `pmcf.alloc.*` and solver counters).
     pub counters: BTreeMap<String, u64>,
     /// Critical-path attribution, when the depth ledger ran.
-    pub critpath: Option<CritSummary>,
+    pub critpath: Option<CritPathReport>,
     /// Pool telemetry, when available.
     pub pool: Option<PoolSummary>,
     /// Invariant-monitor verdicts over the run's event stream.
@@ -245,179 +243,122 @@ impl RunReport {
         self.work = t.work();
         self.depth = t.depth();
         if let Some(p) = t.profile_report() {
-            self.spans = p.spans.iter().map(ReportSpan::from_profile).collect();
-            self.counters = p.counters.clone();
+            self.spans = p.spans;
+            self.counters = p.counters;
         }
         if let Some(c) = t.critpath_report() {
-            self.critpath = Some(CritSummary::from_report(&c));
+            self.critpath = Some(c);
         }
     }
 
-    /// Schema-versioned JSON rendering (`pmcf.report/v1`).
-    pub fn to_json(&self) -> String {
-        fn span_json(s: &ReportSpan, out: &mut String) {
-            out.push_str(&format!(
-                "{{\"name\":{},\"work\":{},\"depth\":{},\"wall_ns\":{},\"count\":{},\"children\":[",
-                json_string(&s.name),
-                s.work,
-                s.depth,
-                s.wall_ns,
-                s.count
-            ));
-            for (i, c) in s.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                span_json(c, out);
-            }
-            out.push_str("]}");
-        }
-        let mut out = format!(
-            "{{\"schema\":{},\"name\":{},\"threads\":{},\"work\":{},\"depth\":{},\"spans\":[",
-            json_string(REPORT_SCHEMA),
-            json_string(&self.name),
-            self.threads,
-            self.work,
-            self.depth
-        );
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            span_json(s, &mut out);
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(k), v));
-        }
-        out.push_str("},\"critpath\":");
-        match &self.critpath {
-            None => out.push_str("null"),
-            Some(c) => {
-                out.push_str(&format!(
-                    "{{\"total_depth\":{},\"attributed_depth\":{},\"joins\":{},\"entries\":[",
-                    c.total_depth, c.attributed_depth, c.joins
-                ));
-                for (i, e) in c.entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"path\":{},\"depth\":{}}}",
-                        json_string(&e.path),
-                        e.depth
-                    ));
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(",\"pool\":");
-        match &self.pool {
-            None => out.push_str("null"),
-            Some(p) => out.push_str(&format!(
-                "{{\"threads\":{},\"joins\":{},\"batches\":{},\"jobs_queued\":{},\
-                 \"jobs_inline\":{},\"steals\":{},\"imbalance\":{}}}",
-                p.threads,
-                p.joins,
-                p.batches,
-                p.jobs_queued,
-                p.jobs_inline,
-                p.steals,
-                fmt_f64(p.imbalance)
-            )),
-        }
-        out.push_str(",\"verdicts\":[");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"monitor\":{},\"ok\":{},\"checked\":{},\"detail\":{}}}",
-                json_string(&v.monitor),
-                v.ok,
-                v.checked,
-                json_string(&v.detail)
-            ));
-        }
-        out.push_str("],\"convergence\":[");
-        for (i, r) in self.convergence.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (j, (k, v)) in r.fields().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_string(k));
-                out.push(':');
-                v.render(&mut out);
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+    /// The `pmcf.report/v1` document.
+    pub fn to_json(&self) -> JsonValue {
+        let critpath = self.critpath.as_ref().map(|c| {
+            JsonValue::obj([
+                ("total_depth", c.total_depth.into()),
+                ("attributed_depth", c.attributed_depth.into()),
+                ("joins", c.joins.into()),
+                (
+                    "entries",
+                    c.entries
+                        .iter()
+                        .map(|e| {
+                            JsonValue::obj([
+                                ("path", e.path.as_str().into()),
+                                ("depth", e.depth.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ])
+        });
+        let pool = self.pool.as_ref().map(|p| {
+            JsonValue::obj([
+                ("threads", p.threads.into()),
+                ("joins", p.joins.into()),
+                ("batches", p.batches.into()),
+                ("jobs_queued", p.jobs_queued.into()),
+                ("jobs_inline", p.jobs_inline.into()),
+                ("steals", p.steals.into()),
+                ("imbalance", p.imbalance.into()),
+            ])
+        });
+        let verdicts = self.verdicts.iter().map(|v| {
+            JsonValue::obj([
+                ("monitor", v.monitor.as_str().into()),
+                ("ok", v.ok.into()),
+                ("checked", v.checked.into()),
+                ("detail", v.detail.as_str().into()),
+            ])
+        });
+        JsonValue::obj([
+            ("schema", REPORT_SCHEMA.into()),
+            ("name", self.name.as_str().into()),
+            ("threads", self.threads.into()),
+            ("work", self.work.into()),
+            ("depth", self.depth.into()),
+            ("spans", self.spans.iter().map(span_json).collect()),
+            ("counters", counters_json(&self.counters)),
+            ("critpath", critpath.into()),
+            ("pool", pool.into()),
+            ("verdicts", verdicts.collect()),
+            (
+                "convergence",
+                self.convergence
+                    .iter()
+                    .map(|r| JsonValue::obj(r.fields()))
+                    .collect(),
+            ),
+        ])
     }
 
     /// Parse a `pmcf.report/v1` document (the round-trip inverse of
     /// [`RunReport::to_json`]).
     pub fn from_json(src: &str) -> Result<RunReport, String> {
-        use crate::json::{parse, JsonValue};
-        let v = parse(src)?;
+        let v = json::parse(src)?;
         match v.get("schema").and_then(JsonValue::as_str) {
             Some(s) if s == REPORT_SCHEMA => {}
             other => return Err(format!("not a {REPORT_SCHEMA} report (schema {other:?})")),
         }
-        fn span_of(v: &JsonValue) -> Result<ReportSpan, String> {
-            Ok(ReportSpan {
-                name: str_field(v, "name")?,
-                work: u64_field(v, "work")?,
-                depth: u64_field(v, "depth")?,
-                wall_ns: u64_field(v, "wall_ns")?,
-                count: u64_field(v, "count")?,
-                children: v
-                    .get("children")
-                    .and_then(JsonValue::as_arr)
-                    .unwrap_or(&[])
+        let u64_of = |v: &JsonValue, key: &str| v.field(key, JsonValue::as_u64);
+        let str_of = |v: &JsonValue, key: &str| v.field(key, JsonValue::as_str).map(str::to_string);
+        fn list<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+            v.get(key).and_then(JsonValue::as_arr).unwrap_or(&[])
+        }
+        fn span_of(v: &JsonValue) -> Result<SpanReport, String> {
+            Ok(SpanReport {
+                name: v.field("name", JsonValue::as_str)?.to_string(),
+                work: v.field("work", JsonValue::as_u64)?,
+                depth: v.field("depth", JsonValue::as_u64)?,
+                wall: Duration::from_nanos(v.field("wall_ns", JsonValue::as_u64)?),
+                count: v.field("count", JsonValue::as_u64)?,
+                children: list(v, "children")
                     .iter()
                     .map(span_of)
                     .collect::<Result<_, _>>()?,
             })
         }
-        let spans = v
-            .get("spans")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(span_of)
-            .collect::<Result<_, _>>()?;
         let mut counters = BTreeMap::new();
         if let Some(obj) = v.get("counters").and_then(JsonValue::as_obj) {
             for (k, cv) in obj {
-                counters.insert(
-                    k.clone(),
-                    as_u64(cv).ok_or_else(|| format!("counter {k:?} is not a u64"))?,
-                );
+                let c = cv
+                    .as_u64()
+                    .ok_or_else(|| format!("counter {k:?} is not a u64"))?;
+                counters.insert(k.clone(), c);
             }
         }
         let critpath = match v.get("critpath") {
             None | Some(JsonValue::Null) => None,
-            Some(c) => Some(CritSummary {
-                total_depth: u64_field(c, "total_depth")?,
-                attributed_depth: u64_field(c, "attributed_depth")?,
-                joins: u64_field(c, "joins")?,
-                entries: c
-                    .get("entries")
-                    .and_then(JsonValue::as_arr)
-                    .unwrap_or(&[])
+            Some(c) => Some(CritPathReport {
+                total_depth: u64_of(c, "total_depth")?,
+                attributed_depth: u64_of(c, "attributed_depth")?,
+                joins: u64_of(c, "joins")?,
+                entries: list(c, "entries")
                     .iter()
                     .map(|e| {
                         Ok(CritPathEntry {
-                            path: str_field(e, "path")?,
-                            depth: u64_field(e, "depth")?,
+                            path: str_of(e, "path")?,
+                            depth: u64_of(e, "depth")?,
                         })
                     })
                     .collect::<Result<_, String>>()?,
@@ -426,60 +367,54 @@ impl RunReport {
         let pool = match v.get("pool") {
             None | Some(JsonValue::Null) => None,
             Some(p) => Some(PoolSummary {
-                threads: u64_field(p, "threads")?,
-                joins: u64_field(p, "joins")?,
-                batches: u64_field(p, "batches")?,
-                jobs_queued: u64_field(p, "jobs_queued")?,
-                jobs_inline: u64_field(p, "jobs_inline")?,
-                steals: u64_field(p, "steals")?,
-                imbalance: f64_field(p, "imbalance")?,
+                threads: u64_of(p, "threads")?,
+                joins: u64_of(p, "joins")?,
+                batches: u64_of(p, "batches")?,
+                jobs_queued: u64_of(p, "jobs_queued")?,
+                jobs_inline: u64_of(p, "jobs_inline")?,
+                steals: u64_of(p, "steals")?,
+                imbalance: p.field("imbalance", JsonValue::as_f64)?,
             }),
         };
-        let verdicts = v
-            .get("verdicts")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
+        let verdicts = list(&v, "verdicts")
             .iter()
             .map(|m| {
                 Ok(Verdict {
-                    monitor: str_field(m, "monitor")?,
-                    ok: match m.get("ok") {
-                        Some(JsonValue::Bool(b)) => *b,
-                        _ => return Err("verdict missing boolean `ok`".to_string()),
-                    },
-                    checked: u64_field(m, "checked")?,
-                    detail: str_field(m, "detail")?,
+                    monitor: str_of(m, "monitor")?,
+                    ok: m.field("ok", JsonValue::as_bool)?,
+                    checked: u64_of(m, "checked")?,
+                    detail: str_of(m, "detail")?,
                 })
             })
             .collect::<Result<_, String>>()?;
-        let convergence = v
-            .get("convergence")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
+        let convergence = list(&v, "convergence")
             .iter()
             .map(|r| {
                 Ok(IpmIterRow {
-                    engine: str_field(r, "engine")?,
-                    iteration: u64_field(r, "iteration")?,
-                    mu: f64_field(r, "mu")?,
-                    gap: f64_field(r, "gap")?,
+                    engine: str_of(r, "engine")?,
+                    iteration: u64_of(r, "iteration")?,
+                    mu: r.field("mu", JsonValue::as_f64)?,
+                    gap: r.field("gap", JsonValue::as_f64)?,
                     step: match r.get("step") {
                         None | Some(JsonValue::Null) => None,
-                        Some(s) => Some(s.as_f64().ok_or("step is not a number")?),
+                        Some(_) => Some(r.field("step", JsonValue::as_f64)?),
                     },
-                    cg_iters: u64_field(r, "cg_iters")?,
-                    wall_ns: u64_field(r, "wall_ns")?,
-                    work: r.get("work").map_or(Ok(0), |_| u64_field(r, "work"))?,
-                    depth: r.get("depth").map_or(Ok(0), |_| u64_field(r, "depth"))?,
+                    cg_iters: u64_of(r, "cg_iters")?,
+                    wall_ns: u64_of(r, "wall_ns")?,
+                    work: r.get("work").map_or(Ok(0), |_| u64_of(r, "work"))?,
+                    depth: r.get("depth").map_or(Ok(0), |_| u64_of(r, "depth"))?,
                 })
             })
             .collect::<Result<_, String>>()?;
         Ok(RunReport {
-            name: str_field(&v, "name")?,
-            threads: u64_field(&v, "threads")?,
-            work: u64_field(&v, "work")?,
-            depth: u64_field(&v, "depth")?,
-            spans,
+            name: str_of(&v, "name")?,
+            threads: u64_of(&v, "threads")?,
+            work: u64_of(&v, "work")?,
+            depth: u64_of(&v, "depth")?,
+            spans: list(&v, "spans")
+                .iter()
+                .map(span_of)
+                .collect::<Result<_, _>>()?,
             counters,
             critpath,
             pool,
@@ -488,53 +423,16 @@ impl RunReport {
         })
     }
 
+    /// Read a `pmcf.report/v1` file; errors name the path.
+    pub fn load(path: &Path) -> Result<RunReport, String> {
+        let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        RunReport::from_json(&src).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
     /// Write the JSON report to `path` (creating parent directories).
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut body = self.to_json();
-        body.push('\n');
-        std::fs::write(path, body)
+        json::write_file(path, &self.to_json())
     }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn as_u64(v: &crate::json::JsonValue) -> Option<u64> {
-    use crate::json::JsonValue;
-    match v {
-        JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
-        JsonValue::UInt(u) => Some(*u),
-        _ => None,
-    }
-}
-
-fn u64_field(v: &crate::json::JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(as_u64)
-        .ok_or_else(|| format!("missing/non-integer field {key:?}"))
-}
-
-fn f64_field(v: &crate::json::JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|x| x.as_f64())
-        .ok_or_else(|| format!("missing/non-numeric field {key:?}"))
-}
-
-fn str_field(v: &crate::json::JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|x| x.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing/non-string field {key:?}"))
 }
 
 // ---------------------------------------------------------------------
@@ -621,7 +519,7 @@ pub fn record_ipm_iter(row: impl FnOnce() -> IpmIterRow) {
     }
     let row = row();
     if events {
-        recorder::emit("ipm.iter", row.fields());
+        recorder::emit_with("ipm.iter", || row.fields());
     }
     if report {
         lock_collector().rows.push(row);
@@ -631,9 +529,8 @@ pub fn record_ipm_iter(row: impl FnOnce() -> IpmIterRow) {
 /// Finish collecting: deactivate and assemble a [`RunReport`] named
 /// `name` with the convergence table, pool-telemetry summary, and
 /// monitor verdicts over the current flight recording. Returns `None`
-/// when no collection was active. The caller typically follows with
-/// [`RunReport::absorb_tracker`] and [`RunReport::write`]
-/// (to [`report_output_path`]).
+/// when no collection was active. [`report_finish`] is this plus
+/// writing the report to the `PMCF_REPORT` path.
 pub fn take_run_report(name: &str) -> Option<RunReport> {
     if !ACTIVE.swap(false, Ordering::Relaxed) {
         return None;
@@ -666,8 +563,29 @@ pub fn take_run_report(name: &str) -> Option<RunReport> {
 }
 
 /// The output path `PMCF_REPORT` named at init time (if any).
-pub fn report_output_path() -> Option<PathBuf> {
+fn report_output_path() -> Option<PathBuf> {
     lock_collector().path.clone()
+}
+
+/// Finish a `PMCF_REPORT` run: assemble the report named `name` (see
+/// [`take_run_report`]), fold in `t` when given, and write it to the
+/// path `PMCF_REPORT` named. Does nothing when no collection was active.
+pub fn report_finish(name: &str, t: Option<&Tracker>) {
+    let Some(mut run) = take_run_report(name) else {
+        return;
+    };
+    if let Some(t) = t {
+        run.absorb_tracker(t);
+    }
+    if let Some(path) = report_output_path() {
+        match run.write(&path) {
+            Ok(()) => eprintln!(
+                "{name}: wrote {REPORT_SCHEMA} run report to {}",
+                path.display()
+            ),
+            Err(e) => eprintln!("{name}: run report write failed: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -750,7 +668,7 @@ mod tests {
         let events = rec.snapshot();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "ipm.iter");
-        let want: Vec<(String, Value)> = r
+        let want: Vec<(String, JsonValue)> = r
             .fields()
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
@@ -775,11 +693,47 @@ mod tests {
     fn json_round_trips_exactly() {
         let _g = locked();
         let rep = sample_report();
-        let json = rep.to_json();
+        let json = rep.to_json().to_string();
         assert!(json.starts_with("{\"schema\":\"pmcf.report/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         let back = RunReport::from_json(&json).unwrap();
         assert_eq!(back, rep);
+    }
+
+    #[test]
+    fn profile_and_critpath_documents_are_schema_tagged() {
+        let mut t = Tracker::profiled().with_critpath();
+        t.span("a", |t| {
+            t.charge(Cost::new(1, 1));
+            t.span("b\"q", |t| t.charge(Cost::new(1, 9)));
+        });
+        t.counter("k", 1);
+        t.observe("h", 5);
+        let p = profile_json(&t.profile_report().unwrap());
+        assert_eq!(
+            p.get("schema").and_then(JsonValue::as_str),
+            Some(PROFILE_SCHEMA)
+        );
+        assert_eq!(p.field("work", JsonValue::as_u64), Ok(2));
+        let a = &p.get("spans").unwrap().as_arr().unwrap()[0];
+        let keys: Vec<&str> = a
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["name", "work", "depth", "wall_ns", "count", "children"]
+        );
+        let c = critpath_json(&t.critpath_report().unwrap());
+        assert_eq!(
+            c.get("schema").and_then(JsonValue::as_str),
+            Some(CRITPATH_SCHEMA)
+        );
+        assert_eq!(c.field("total_depth", JsonValue::as_u64), Ok(10));
+        let deepest = &c.get("spans").unwrap().as_arr().unwrap()[0];
+        assert_eq!(deepest.field("path", JsonValue::as_str), Ok("a > b\"q"));
+        assert_eq!(deepest.field("share", JsonValue::as_f64), Ok(0.9));
     }
 
     #[test]

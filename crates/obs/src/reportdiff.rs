@@ -20,14 +20,15 @@
 //! never identical).
 //!
 //! The result serializes as `pmcf.reportdiff/v1`
-//! ([`ReportDiff::to_json`] / [`ReportDiff::from_json`]) and renders as
+//! ([`ReportDiff::to_json`]) and renders as
 //! a markdown triage table ([`ReportDiff::to_markdown`]) — the same
 //! table `bench-gate` attaches to a failure when baseline and candidate
 //! reports are available.
 
-use crate::report::{ReportSpan, RunReport};
+use crate::json::JsonValue;
+use crate::report::RunReport;
 use pmcf_pram::critpath::PATH_SEP;
-use pmcf_pram::profile::json_string;
+use pmcf_pram::profile::SpanReport;
 use std::collections::BTreeMap;
 
 /// Schema identifier stamped into every diff document.
@@ -70,15 +71,6 @@ impl DiffStatus {
             DiffStatus::Kept => "kept",
             DiffStatus::Added => "added",
             DiffStatus::Removed => "removed",
-        }
-    }
-
-    fn from_label(s: &str) -> Option<DiffStatus> {
-        match s {
-            "kept" => Some(DiffStatus::Kept),
-            "added" => Some(DiffStatus::Added),
-            "removed" => Some(DiffStatus::Removed),
-            _ => None,
         }
     }
 }
@@ -199,7 +191,7 @@ pub struct ReportDiff {
 
 /// Flatten a span tree into path → stats (paths are unique because the
 /// profiler merges same-name siblings; aggregation is defensive).
-fn flatten(spans: &[ReportSpan], prefix: &str, out: &mut BTreeMap<String, SpanStats>) {
+fn flatten(spans: &[SpanReport], prefix: &str, out: &mut BTreeMap<String, SpanStats>) {
     for s in spans {
         let path = if prefix.is_empty() {
             s.name.clone()
@@ -209,7 +201,7 @@ fn flatten(spans: &[ReportSpan], prefix: &str, out: &mut BTreeMap<String, SpanSt
         let e = out.entry(path.clone()).or_default();
         e.work += s.work;
         e.depth += s.depth;
-        e.wall_ns += s.wall_ns;
+        e.wall_ns += s.wall_ns();
         e.count += s.count;
         e.self_work += s.self_work();
         e.self_depth += s.self_depth();
@@ -390,184 +382,75 @@ impl ReportDiff {
         out
     }
 
-    /// Schema-versioned JSON rendering (`pmcf.reportdiff/v1`).
-    pub fn to_json(&self) -> String {
-        fn stats_json(s: &Option<SpanStats>) -> String {
-            match s {
-                None => "null".to_string(),
-                Some(s) => format!(
-                    "{{\"work\":{},\"depth\":{},\"wall_ns\":{},\"count\":{},\
-                     \"self_work\":{},\"self_depth\":{},\"self_wall_ns\":{}}}",
-                    s.work, s.depth, s.wall_ns, s.count, s.self_work, s.self_depth, s.self_wall_ns
-                ),
-            }
-        }
-        let mut out = format!(
-            "{{\"schema\":{},\"baseline\":{},\"candidate\":{},\
-             \"work\":{{\"base\":{},\"cand\":{}}},\"depth\":{{\"base\":{},\"cand\":{}}},\"spans\":[",
-            json_string(DIFF_SCHEMA),
-            json_string(&self.baseline),
-            json_string(&self.candidate),
-            self.base_work,
-            self.cand_work,
-            self.base_depth,
-            self.cand_depth
-        );
-        for (i, d) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":{},\"status\":{},\"base\":{},\"cand\":{}}}",
-                json_string(&d.path),
-                json_string(d.status.label()),
-                stats_json(&d.base),
-                stats_json(&d.cand)
-            ));
-        }
-        out.push_str("],\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let opt = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-            out.push_str(&format!(
-                "{{\"name\":{},\"base\":{},\"cand\":{}}}",
-                json_string(&c.name),
-                opt(c.base),
-                opt(c.cand)
-            ));
-        }
-        out.push_str("],\"convergence\":[");
-        for (i, c) in self.convergence.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"engine\":{},\"base_iterations\":{},\"cand_iterations\":{},\
-                 \"base_cg\":{},\"cand_cg\":{},\"base_final_mu\":{},\"cand_final_mu\":{}}}",
-                json_string(&c.engine),
-                c.base_iterations,
-                c.cand_iterations,
-                c.base_cg,
-                c.cand_cg,
-                fmt_f64(c.base_final_mu),
-                fmt_f64(c.cand_final_mu)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a `pmcf.reportdiff/v1` document.
-    pub fn from_json(src: &str) -> Result<ReportDiff, String> {
-        use crate::json::{parse, JsonValue};
-        let v = parse(src)?;
-        match v.get("schema").and_then(JsonValue::as_str) {
-            Some(s) if s == DIFF_SCHEMA => {}
-            other => return Err(format!("not a {DIFF_SCHEMA} document (schema {other:?})")),
-        }
-        fn u64_of(v: &JsonValue) -> Option<u64> {
-            match v {
-                JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
-                JsonValue::UInt(u) => Some(*u),
-                _ => None,
-            }
-        }
-        fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(u64_of)
-                .ok_or_else(|| format!("missing/non-integer field {key:?}"))
-        }
-        fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
-            v.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing/non-string field {key:?}"))
-        }
-        fn stats_of(v: Option<&JsonValue>) -> Result<Option<SpanStats>, String> {
-            match v {
-                None | Some(JsonValue::Null) => Ok(None),
-                Some(s) => Ok(Some(SpanStats {
-                    work: u64_field(s, "work")?,
-                    depth: u64_field(s, "depth")?,
-                    wall_ns: u64_field(s, "wall_ns")?,
-                    count: u64_field(s, "count")?,
-                    self_work: u64_field(s, "self_work")?,
-                    self_depth: u64_field(s, "self_depth")?,
-                    self_wall_ns: u64_field(s, "self_wall_ns")?,
-                })),
-            }
-        }
-        let spans = v
-            .get("spans")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|d| {
-                Ok(SpanDelta {
-                    path: str_field(d, "path")?,
-                    status: DiffStatus::from_label(&str_field(d, "status")?)
-                        .ok_or("bad span status")?,
-                    base: stats_of(d.get("base"))?,
-                    cand: stats_of(d.get("cand"))?,
-                })
+    /// The `pmcf.reportdiff/v1` document.
+    pub fn to_json(&self) -> JsonValue {
+        let stats = |s: Option<SpanStats>| {
+            s.map(|s| {
+                JsonValue::obj([
+                    ("work", s.work.into()),
+                    ("depth", s.depth.into()),
+                    ("wall_ns", s.wall_ns.into()),
+                    ("count", s.count.into()),
+                    ("self_work", s.self_work.into()),
+                    ("self_depth", s.self_depth.into()),
+                    ("self_wall_ns", s.self_wall_ns.into()),
+                ])
             })
-            .collect::<Result<_, String>>()?;
-        let counters = v
-            .get("counters")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| {
-                let side = |key: &str| -> Result<Option<u64>, String> {
-                    match c.get(key) {
-                        None | Some(JsonValue::Null) => Ok(None),
-                        Some(x) => Ok(Some(u64_of(x).ok_or("counter side is not a u64")?)),
-                    }
-                };
-                Ok(CounterDelta {
-                    name: str_field(c, "name")?,
-                    base: side("base")?,
-                    cand: side("cand")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let convergence = v
-            .get("convergence")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| {
-                let f = |key: &str| -> Result<f64, String> {
-                    c.get(key)
-                        .and_then(|x| x.as_f64())
-                        .ok_or_else(|| format!("missing/non-numeric field {key:?}"))
-                };
-                Ok(ConvergenceDelta {
-                    engine: str_field(c, "engine")?,
-                    base_iterations: u64_field(c, "base_iterations")?,
-                    cand_iterations: u64_field(c, "cand_iterations")?,
-                    base_cg: u64_field(c, "base_cg")?,
-                    cand_cg: u64_field(c, "cand_cg")?,
-                    base_final_mu: f("base_final_mu")?,
-                    cand_final_mu: f("cand_final_mu")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let work = v.get("work").ok_or("missing work totals")?;
-        let depth = v.get("depth").ok_or("missing depth totals")?;
-        Ok(ReportDiff {
-            baseline: str_field(&v, "baseline")?,
-            candidate: str_field(&v, "candidate")?,
-            base_work: u64_field(work, "base")?,
-            cand_work: u64_field(work, "cand")?,
-            base_depth: u64_field(depth, "base")?,
-            cand_depth: u64_field(depth, "cand")?,
-            spans,
-            counters,
-            convergence,
-        })
+            .into()
+        };
+        let pair =
+            |base: u64, cand: u64| JsonValue::obj([("base", base.into()), ("cand", cand.into())]);
+        JsonValue::obj([
+            ("schema", DIFF_SCHEMA.into()),
+            ("baseline", self.baseline.as_str().into()),
+            ("candidate", self.candidate.as_str().into()),
+            ("work", pair(self.base_work, self.cand_work)),
+            ("depth", pair(self.base_depth, self.cand_depth)),
+            (
+                "spans",
+                self.spans
+                    .iter()
+                    .map(|d| {
+                        JsonValue::obj([
+                            ("path", d.path.as_str().into()),
+                            ("status", d.status.label().into()),
+                            ("base", stats(d.base)),
+                            ("cand", stats(d.cand)),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "counters",
+                self.counters
+                    .iter()
+                    .map(|c| {
+                        JsonValue::obj([
+                            ("name", c.name.as_str().into()),
+                            ("base", c.base.into()),
+                            ("cand", c.cand.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "convergence",
+                self.convergence
+                    .iter()
+                    .map(|c| {
+                        JsonValue::obj([
+                            ("engine", c.engine.as_str().into()),
+                            ("base_iterations", c.base_iterations.into()),
+                            ("cand_iterations", c.cand_iterations.into()),
+                            ("base_cg", c.base_cg.into()),
+                            ("cand_cg", c.cand_cg.into()),
+                            ("base_final_mu", c.base_final_mu.into()),
+                            ("cand_final_mu", c.cand_final_mu.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ])
     }
 
     /// Markdown triage: top-`k` regressing spans (self-work ranked),
@@ -643,31 +526,23 @@ impl ReportDiff {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::IpmIterRow;
 
-    fn span(name: &str, work: u64, depth: u64, children: Vec<ReportSpan>) -> ReportSpan {
-        ReportSpan {
+    fn span(name: &str, work: u64, depth: u64, children: Vec<SpanReport>) -> SpanReport {
+        SpanReport {
             name: name.to_string(),
             work,
             depth,
-            wall_ns: work * 10,
+            wall: std::time::Duration::from_nanos(work * 10),
             count: 1,
             children,
         }
     }
 
-    fn report(name: &str, spans: Vec<ReportSpan>) -> RunReport {
+    fn report(name: &str, spans: Vec<SpanReport>) -> RunReport {
         let mut r = RunReport::new(name);
         r.work = spans.iter().map(|s| s.work).sum();
         r.depth = spans.iter().map(|s| s.depth).sum();
@@ -854,15 +729,20 @@ mod tests {
         cand.counters.insert("k".into(), 3);
         let d = diff_reports(&base, &cand);
         let json = d.to_json();
-        assert!(json.starts_with("{\"schema\":\"pmcf.reportdiff/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let back = ReportDiff::from_json(&json).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema() {
-        assert!(ReportDiff::from_json(r#"{"schema":"pmcf.report/v1"}"#).is_err());
-        assert!(ReportDiff::from_json("[]").is_err());
+        let text = json.to_string();
+        assert!(text.starts_with("{\"schema\":\"pmcf.reportdiff/v1\""));
+        assert_eq!(crate::json::parse(&text).unwrap(), json);
+        let spans = json.get("spans").unwrap().as_arr().unwrap();
+        let extra = spans
+            .iter()
+            .find(|s| s.get("path").and_then(JsonValue::as_str) == Some("ipm/loop > extra"))
+            .unwrap();
+        assert_eq!(extra.field("status", JsonValue::as_str), Ok("added"));
+        assert_eq!(extra.get("base"), Some(&JsonValue::Null));
+        let k = &json.get("counters").unwrap().as_arr().unwrap()[0];
+        assert_eq!(
+            (k.get("base"), k.get("cand")),
+            (Some(&JsonValue::Null), Some(&JsonValue::Int(3)))
+        );
     }
 }

@@ -32,14 +32,14 @@
 //!                "imbalance_ratio":…}}
 //! ```
 //!
-//! `ts`/`dur` are microseconds (fractional — nanosecond precision is
-//! preserved). `otherData.schema` marks the file as ours for the CI
-//! smoke check; Perfetto ignores unknown keys.
+//! `ts`/`dur` are microseconds: integers when exact, otherwise floats
+//! that keep nanosecond precision. `otherData.schema` marks the file as
+//! ours for the CI smoke check; Perfetto ignores unknown keys.
 
 use std::sync::Mutex;
 
+use crate::json::{self, JsonValue};
 use pmcf_pram::annotation::{self, Annotation};
-use pmcf_pram::profile::json_string;
 use rayon::telemetry::{self, PoolTelemetry};
 
 /// Environment variable that switches the trace exporter on.
@@ -92,8 +92,8 @@ pub fn trace_init_from_env() -> bool {
 }
 
 /// Stop tracing, render the trace, and write it to the path captured at
-/// init (if any). Returns the rendered JSON when tracing was active.
-pub fn trace_finish() -> Option<String> {
+/// init (if any). Returns the trace document when tracing was active.
+pub fn trace_finish() -> Option<JsonValue> {
     if !annotation::annotating() {
         return None;
     }
@@ -101,9 +101,9 @@ pub fn trace_finish() -> Option<String> {
     telemetry::set_recording(false);
     let pool = telemetry::snapshot();
     let path = trace_path().take();
-    let json = render_trace(&pool, &spans, dropped);
+    let doc = render_trace(&pool, &spans, dropped);
     if let Some(path) = path {
-        match std::fs::write(&path, &json) {
+        match json::write_file(path.as_ref(), &doc) {
             Ok(()) => eprintln!(
                 "[pmcf-obs] wrote trace: {} ({} pool slices, {} annotations)",
                 path,
@@ -113,97 +113,92 @@ pub fn trace_finish() -> Option<String> {
             Err(e) => eprintln!("[pmcf-obs] failed to write trace {path}: {e}"),
         }
     }
-    Some(json)
+    Some(doc)
 }
 
-fn push_us(out: &mut String, ns: u64) {
-    // µs with nanosecond precision; trims to integer when exact.
+/// Microseconds for a nanosecond timestamp: an integer when exact, a
+/// float with nanosecond precision otherwise.
+fn us(ns: u64) -> JsonValue {
     if ns.is_multiple_of(1_000) {
-        out.push_str(&(ns / 1_000).to_string());
+        (ns / 1_000).into()
     } else {
-        out.push_str(&format!("{:.3}", ns as f64 / 1_000.0));
+        (ns as f64 / 1_000.0).into()
     }
 }
 
-fn push_complete_event(out: &mut String, name: &str, tid: usize, start_ns: u64, end_ns: u64) {
-    out.push_str("{\"name\":");
-    out.push_str(&json_string(name));
-    out.push_str(",\"ph\":\"X\",\"ts\":");
-    push_us(out, start_ns);
-    out.push_str(",\"dur\":");
-    push_us(out, end_ns.saturating_sub(start_ns));
-    out.push_str(",\"pid\":1,\"tid\":");
-    out.push_str(&tid.to_string());
-    out.push('}');
+/// One complete (`"ph":"X"`) slice on lane `tid`.
+fn slice(name: &str, tid: usize, start_ns: u64, end_ns: u64) -> JsonValue {
+    JsonValue::obj([
+        ("name", name.into()),
+        ("ph", "X".into()),
+        ("ts", us(start_ns)),
+        ("dur", us(end_ns.saturating_sub(start_ns))),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+    ])
 }
 
 /// Render pool telemetry plus annotation spans as a Chrome trace-event
-/// JSON document (see module docs for the layout).
-pub fn render_trace(pool: &PoolTelemetry, spans: &[Annotation], dropped_spans: u64) -> String {
-    let mut out = String::with_capacity(256 + 96 * (pool.slices.len() + spans.len()));
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-    };
+/// document (see module docs for the layout).
+pub fn render_trace(pool: &PoolTelemetry, spans: &[Annotation], dropped_spans: u64) -> JsonValue {
     // Thread-name metadata: give every dense tid a readable lane label.
     let lanes = pool
         .thread_names
         .len()
         .max(spans.iter().map(|s| s.tid + 1).max().unwrap_or(0));
-    for tid in 0..lanes {
+    let lane_names = (0..lanes).map(|tid| {
         let label = match pool.thread_names.get(tid).and_then(|n| n.as_deref()) {
             Some(name) => name.to_string(),
             None if tid == 0 => "main".to_string(),
             None => format!("thread-{tid}"),
         };
-        sep(&mut out);
-        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-        out.push_str(&tid.to_string());
-        out.push_str(",\"args\":{\"name\":");
-        out.push_str(&json_string(&label));
-        out.push_str("}}");
-    }
-    for a in spans {
-        sep(&mut out);
-        push_complete_event(&mut out, &a.name, a.tid, a.start_ns, a.end_ns);
-    }
-    for s in &pool.slices {
-        sep(&mut out);
-        push_complete_event(&mut out, s.kind.label(), s.tid, s.start_ns, s.end_ns);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-    out.push_str(&format!(
-        "\"schema\":{},\"threads\":{},\"joins\":{},\"batches\":{},\"jobs_queued\":{},\
-         \"jobs_inline\":{},\"steals\":{},\"pool_slices\":{},\"dropped_slices\":{},\
-         \"annotations\":{},\"dropped_annotations\":{},\"total_busy_ns\":{},\
-         \"imbalance_ratio\":{:.4}",
-        json_string(TRACE_SCHEMA),
-        pool.threads,
-        pool.joins,
-        pool.batches,
-        pool.jobs_queued,
-        pool.jobs_inline,
-        pool.steals,
-        pool.slices.len(),
-        pool.dropped_slices,
-        spans.len(),
-        dropped_spans,
-        pool.total_busy_ns(),
-        pool.imbalance_ratio(),
-    ));
-    out.push_str("}}");
-    out
+        JsonValue::obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("args", JsonValue::obj([("name", label.into())])),
+        ])
+    });
+    let events = lane_names
+        .chain(
+            spans
+                .iter()
+                .map(|a| slice(&a.name, a.tid, a.start_ns, a.end_ns)),
+        )
+        .chain(
+            pool.slices
+                .iter()
+                .map(|s| slice(s.kind.label(), s.tid, s.start_ns, s.end_ns)),
+        )
+        .collect();
+    JsonValue::obj([
+        ("traceEvents", events),
+        ("displayTimeUnit", "ms".into()),
+        (
+            "otherData",
+            JsonValue::obj([
+                ("schema", TRACE_SCHEMA.into()),
+                ("threads", pool.threads.into()),
+                ("joins", pool.joins.into()),
+                ("batches", pool.batches.into()),
+                ("jobs_queued", pool.jobs_queued.into()),
+                ("jobs_inline", pool.jobs_inline.into()),
+                ("steals", pool.steals.into()),
+                ("pool_slices", pool.slices.len().into()),
+                ("dropped_slices", pool.dropped_slices.into()),
+                ("annotations", spans.len().into()),
+                ("dropped_annotations", dropped_spans.into()),
+                ("total_busy_ns", pool.total_busy_ns().into()),
+                ("imbalance_ratio", pool.imbalance_ratio().into()),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, JsonValue};
     use pmcf_pram::Tracker;
 
     /// Tracing state is process-global; serialize tests that flip it.
@@ -215,8 +210,9 @@ mod tests {
 
     /// Names of the span slices (complete events that are not pool
     /// slices) in a rendered trace, after checking every event's shape.
-    fn span_names(json: &str) -> Vec<String> {
-        let v = json::parse(json).expect("exporter must emit valid JSON");
+    fn span_names(doc: &JsonValue) -> Vec<String> {
+        let v = json::parse(&doc.to_string()).expect("exporter must emit valid JSON");
+        assert_eq!(&v, doc);
         let other = v.get("otherData").unwrap();
         assert_eq!(other.get("schema").unwrap().as_str(), Some(TRACE_SCHEMA));
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
@@ -271,12 +267,11 @@ mod tests {
         let mut t = Tracker::new();
         t.span("ipm/loop", |t| t.span("ipm/newton", |_| ()));
         rayon::join(|| (), || ());
-        let json = trace_finish().expect("tracing was active");
-        let names = span_names(&json);
+        let doc = trace_finish().expect("tracing was active");
+        let names = span_names(&doc);
         assert!(names.iter().any(|n| n == "ipm/loop"));
         assert!(names.iter().any(|n| n == "ipm/newton"));
-        let v = json::parse(&json).unwrap();
-        let other = v.get("otherData").unwrap();
+        let other = doc.get("otherData").unwrap();
         assert!(other.get("joins").unwrap().as_f64().unwrap() >= 1.0);
     }
 
@@ -322,11 +317,8 @@ mod tests {
 
     #[test]
     fn timestamps_are_microseconds() {
-        let mut s = String::new();
-        push_us(&mut s, 2_000);
-        assert_eq!(s, "2");
-        s.clear();
-        push_us(&mut s, 1_500);
-        assert_eq!(s, "1.500");
+        assert_eq!(us(2_000).to_string(), "2");
+        assert_eq!(us(1_500).to_string(), "1.5e0");
+        assert_eq!(us(1_234_567), JsonValue::Float(1_234.567));
     }
 }

@@ -5,12 +5,13 @@
 //! - the ring buffer never drops the *latest* events (only the oldest);
 //! - monitor verdicts are deterministic under replay of the same seed;
 //! - span-tree diff alignment is *total* (every span path in either run
-//!   appears exactly once, as kept/added/removed) and delta-exact.
+//!   appears exactly once, as kept/added/removed) and delta-exact;
+//! - every JSON value without a non-finite float renders and parses back
+//!   to itself.
 
-use pmcf_obs::event::{Event, Value};
-use pmcf_obs::json::parse_recording;
+use pmcf_obs::event::Event;
+use pmcf_obs::json::{parse, parse_recording, JsonValue};
 use pmcf_obs::monitor::run_monitors;
-use pmcf_obs::report::ReportSpan;
 use pmcf_obs::{diff_reports, DiffStatus, FlightRecorder, RunReport};
 use pmcf_pram::profile::{ProfileReport, SpanReport};
 use pmcf_pram::{Cost, ParMode, Tracker};
@@ -19,7 +20,7 @@ use std::collections::BTreeMap;
 
 fn push_n(rec: &mut FlightRecorder, n: u64) {
     for i in 0..n {
-        rec.push(Event::new("e", vec![("i", Value::U64(i))]));
+        rec.push(Event::new("e", vec![("i", JsonValue::from(i))]));
     }
 }
 
@@ -31,14 +32,14 @@ fn synthetic_events(seed: u64, violate_mu: bool) -> Vec<Event> {
     events.push(Event::new(
         "solve.start",
         vec![
-            ("engine", Value::Str("reference".into())),
-            ("n", Value::U64(n)),
-            ("m", Value::U64(n * n)),
-            ("mu0", Value::F64(100.0)),
-            ("mu_end", Value::F64(1e-3)),
-            ("step_r", Value::F64(0.5)),
-            ("gamma", Value::F64(0.25)),
-            ("envelope_c", Value::F64(3.0)),
+            ("engine", "reference".into()),
+            ("n", JsonValue::from(n)),
+            ("m", JsonValue::from(n * n)),
+            ("mu0", JsonValue::from(100.0)),
+            ("mu_end", JsonValue::from(1e-3)),
+            ("step_r", JsonValue::from(0.5)),
+            ("gamma", JsonValue::from(0.25)),
+            ("envelope_c", JsonValue::from(3.0)),
         ],
     ));
     let mut mu = 100.0f64;
@@ -53,28 +54,28 @@ fn synthetic_events(seed: u64, violate_mu: bool) -> Vec<Event> {
         events.push(Event::new(
             "ipm.iter",
             vec![
-                ("iteration", Value::U64(it)),
-                ("mu", Value::F64(mu)),
-                ("work", Value::F64(work)),
-                ("depth", Value::F64(work / 10.0)),
+                ("iteration", JsonValue::from(it)),
+                ("mu", JsonValue::from(mu)),
+                ("work", JsonValue::from(work)),
+                ("depth", JsonValue::from(work / 10.0)),
             ],
         ));
     }
     events.push(Event::new(
         "expander.rebuild",
         vec![
-            ("edges", Value::U64(n)),
-            ("phi", Value::F64(0.1)),
-            ("certified", Value::Bool(true)),
+            ("edges", JsonValue::from(n)),
+            ("phi", JsonValue::from(0.1)),
+            ("certified", true.into()),
         ],
     ));
     events.push(Event::new(
         "solve.end",
         vec![
-            ("iterations", Value::U64(iters)),
-            ("work", Value::F64(work + 1.0)),
-            ("depth", Value::F64(work / 10.0 + 1.0)),
-            ("final_mu", Value::F64(mu)),
+            ("iterations", JsonValue::from(iters)),
+            ("work", JsonValue::from(work + 1.0)),
+            ("depth", JsonValue::from(work / 10.0 + 1.0)),
+            ("final_mu", JsonValue::from(mu)),
         ],
     ));
     events
@@ -127,34 +128,34 @@ fn next(rng: &mut u64) -> u64 {
 /// Random span tree with *consistent inclusive costs* (parent ≥ sum of
 /// children), matching what the profiler produces. Seed-driven because
 /// the in-tree proptest shim has no recursive strategy combinator.
-fn gen_span(rng: &mut u64, depth: usize) -> ReportSpan {
+fn gen_span(rng: &mut u64, depth: usize) -> SpanReport {
     let kids = if depth == 0 {
         0
     } else {
         (next(rng) % 4) as usize
     };
-    let children: Vec<ReportSpan> = (0..kids).map(|_| gen_span(rng, depth - 1)).collect();
+    let children: Vec<SpanReport> = (0..kids).map(|_| gen_span(rng, depth - 1)).collect();
     let cw: u64 = children.iter().map(|c| c.work).sum();
     let cd: u64 = children.iter().map(|c| c.depth).sum();
-    let cn: u64 = children.iter().map(|c| c.wall_ns).sum();
-    ReportSpan {
+    let cn: u64 = children.iter().map(SpanReport::wall_ns).sum();
+    SpanReport {
         name: SPAN_NAMES[(next(rng) % SPAN_NAMES.len() as u64) as usize].to_string(),
         work: next(rng) % 1_000 + cw,
         depth: next(rng) % 100 + cd,
-        wall_ns: next(rng) % 10_000 + cn,
+        wall: std::time::Duration::from_nanos(next(rng) % 10_000 + cn),
         count: 1 + next(rng) % 3,
         children,
     }
 }
 
-fn gen_spans(seed: u64) -> Vec<ReportSpan> {
+fn gen_spans(seed: u64) -> Vec<SpanReport> {
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     (0..(next(&mut rng) % 4) as usize)
         .map(|_| gen_span(&mut rng, 3))
         .collect()
 }
 
-fn report_with(spans: Vec<ReportSpan>) -> RunReport {
+fn report_with(spans: Vec<SpanReport>) -> RunReport {
     let mut r = RunReport::new("prop");
     r.work = spans.iter().map(|s| s.work).sum();
     r.depth = spans.iter().map(|s| s.depth).sum();
@@ -165,7 +166,7 @@ fn report_with(spans: Vec<ReportSpan>) -> RunReport {
 /// Independent re-implementation of path flattening used as the oracle:
 /// `(inclusive work, inclusive depth, self work)` per ` > `-joined path,
 /// aggregating duplicate paths.
-fn flat_oracle(spans: &[ReportSpan], prefix: &str, out: &mut BTreeMap<String, [u64; 3]>) {
+fn flat_oracle(spans: &[SpanReport], prefix: &str, out: &mut BTreeMap<String, [u64; 3]>) {
     for s in spans {
         let path = if prefix.is_empty() {
             s.name.clone()
@@ -304,5 +305,61 @@ proptest! {
             prop_assert_eq!(h.sum, o.sum, "histogram {}: sum", name);
             prop_assert_eq!(&h.buckets, &o.buckets, "histogram {}: buckets", name);
         }
+    }
+}
+
+/// String pieces the writer must get right: quotes, backslashes, control
+/// characters, multi-byte UTF-8 and text that looks like an escape.
+const STR_PIECES: &[&str] = &[
+    "", "a", "\"", "\\", "\n", "\r\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "λx", "𝄞", "/", "\\u0041",
+];
+
+/// Random JSON tree of at most `depth` levels (seed-driven, like
+/// [`gen_span`]): every scalar form, integers at the `i64`/`u64`
+/// boundaries, and finite floats drawn from raw bit patterns.
+fn gen_json(rng: &mut u64, depth: usize) -> JsonValue {
+    let string = |rng: &mut u64| -> String {
+        (0..next(rng) % 5)
+            .map(|_| STR_PIECES[(next(rng) % STR_PIECES.len() as u64) as usize])
+            .collect()
+    };
+    match next(rng) % if depth == 0 { 6 } else { 8 } {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(next(rng).is_multiple_of(2)),
+        2 => {
+            let edge = [i64::MIN, i64::MAX, -1, 0, next(rng) as i64];
+            JsonValue::from(edge[(next(rng) % 5) as usize])
+        }
+        3 => {
+            let edge = [u64::MAX, i64::MAX as u64, i64::MAX as u64 + 1, next(rng)];
+            JsonValue::from(edge[(next(rng) % 4) as usize])
+        }
+        4 => {
+            let x = f64::from_bits(next(rng));
+            let edge = [x, 0.1, -0.0, 5e-324, f64::MAX, 1e21];
+            let x = edge[(next(rng) % 6) as usize];
+            JsonValue::from(if x.is_finite() { x } else { 1.5 })
+        }
+        5 => JsonValue::from(string(rng)),
+        6 => (0..next(rng) % 4)
+            .map(|_| gen_json(rng, depth - 1))
+            .collect(),
+        _ => JsonValue::Obj(
+            (0..next(rng) % 4)
+                .map(|_| (string(rng), gen_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_render_parse_round_trips(seed in any::<u64>()) {
+        let mut rng = seed | 1;
+        let v = gen_json(&mut rng, 5);
+        let text = v.to_string();
+        prop_assert_eq!(parse(&text), Ok(v), "rendered as {}", text);
     }
 }

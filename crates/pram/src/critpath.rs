@@ -40,17 +40,14 @@
 //! [`crate::profile::tracker_from_env`], or
 //! [`Tracker::with_critpath`](crate::Tracker::with_critpath) in code)
 //! and never changes charged totals — it only watches them. Reports
-//! render as schema-versioned JSON (`pmcf.critpath/v1`) or a markdown
-//! top-K table for bench artifacts.
+//! render as a markdown top-K table (`pmcf-obs` renders them as
+//! `pmcf.critpath/v1` JSON for bench artifacts).
 
 use std::collections::BTreeMap;
 
 /// Environment variable that switches the depth ledger on (truthy values
 /// `1`, `true`, `on`), mirroring `PMCF_PROFILE`.
 pub const CRITPATH_ENV: &str = "PMCF_CRITPATH";
-
-/// Schema identifier stamped into every JSON report.
-pub const SCHEMA: &str = "pmcf.critpath/v1";
 
 /// Separator between nested span names in a ledger path. Span names
 /// themselves may contain `/` (e.g. `ipm/newton`), so nesting uses a
@@ -188,7 +185,7 @@ pub struct CritPathEntry {
 }
 
 /// A finished critical-path attribution (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CritPathReport {
     /// The owning tracker's total depth at snapshot time.
     pub total_depth: u64,
@@ -216,35 +213,6 @@ impl CritPathReport {
     /// schema checks).
     pub fn is_exact(&self) -> bool {
         self.total_depth == self.attributed_depth
-    }
-
-    /// Schema-versioned JSON rendering (`pmcf.critpath/v1`).
-    pub fn to_json(&self) -> String {
-        use crate::profile::json_string;
-        let mut out = format!(
-            "{{\"schema\":{},\"total_depth\":{},\"attributed_depth\":{},\"joins\":{},\"spans\":[",
-            json_string(SCHEMA),
-            self.total_depth,
-            self.attributed_depth,
-            self.joins
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let share = if self.total_depth > 0 {
-                e.depth as f64 / self.total_depth as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{{\"path\":{},\"depth\":{},\"share\":{share:.6}}}",
-                json_string(&e.path),
-                e.depth
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Markdown top-`k` table of the deepest span paths.
@@ -372,15 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_json_and_markdown() {
+    fn report_renders_markdown() {
         let mut t = Tracker::new().with_critpath();
         t.span("a", |t| t.charge(Cost::new(1, 1)));
         t.span("b", |t| t.charge(Cost::new(1, 9)));
         let rep = t.critpath_report().unwrap();
-        let json = rep.to_json();
-        assert!(json.starts_with("{\"schema\":\"pmcf.critpath/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"total_depth\":10"));
+        assert_eq!(rep.total_depth, 10);
         let md = rep.to_markdown(1);
         assert!(md.contains("| 1 | b | 9 |"));
         assert!(md.contains("(1 more)"));

@@ -18,8 +18,8 @@
 //!   ([`Tracker::counter`](crate::Tracker::counter)) and power-of-two
 //!   bucket histograms ([`Tracker::observe`](crate::Tracker::observe)).
 //! * **Reports** — [`ProfileReport`], a snapshot renderable as an
-//!   indented flamegraph-style markdown table or schema-versioned JSON
-//!   (`pmcf.profile/v1`), for the bench artifact pipeline.
+//!   indented flamegraph-style markdown table (`pmcf-obs` renders it as
+//!   `pmcf.profile/v1` JSON for the bench artifact pipeline).
 //!
 //! Profiling is strictly opt-in: a tracker built with
 //! [`Tracker::new`](crate::Tracker::new) or
@@ -44,9 +44,6 @@ use std::time::{Duration, Instant};
 
 /// Environment variable that switches profiled trackers on.
 pub const PROFILE_ENV: &str = "PMCF_PROFILE";
-
-/// Schema identifier stamped into every JSON report.
-pub const SCHEMA: &str = "pmcf.profile/v1";
 
 /// Environment variable naming a unified run-report output path. The
 /// report itself is assembled by `pmcf-obs` (which sits above this
@@ -341,7 +338,11 @@ pub(crate) struct SpanStart {
 }
 
 /// One rendered node of the phase tree.
-#[derive(Clone, Debug)]
+///
+/// Work/depth/wall are **inclusive** — a span's cost contains its
+/// children's (child scopes are subsets of the parent scope); the
+/// `self_*` methods give exclusive costs.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanReport {
     /// Span name as passed to `Tracker::span`.
     pub name: String,
@@ -374,6 +375,28 @@ impl SpanReport {
     /// construction).
     pub fn child_work(&self) -> u64 {
         self.children.iter().map(|c| c.work).sum()
+    }
+
+    /// Wall time in nanoseconds.
+    pub fn wall_ns(&self) -> u64 {
+        self.wall.as_nanos() as u64
+    }
+
+    /// Work charged in this span but not in any child (exclusive cost).
+    pub fn self_work(&self) -> u64 {
+        self.work.saturating_sub(self.child_work())
+    }
+
+    /// Depth charged in this span but not in any child.
+    pub fn self_depth(&self) -> u64 {
+        self.depth
+            .saturating_sub(self.children.iter().map(|c| c.depth).sum())
+    }
+
+    /// Wall nanoseconds spent in this span but not in any child.
+    pub fn self_wall_ns(&self) -> u64 {
+        self.wall_ns()
+            .saturating_sub(self.children.iter().map(SpanReport::wall_ns).sum())
     }
 }
 
@@ -459,86 +482,6 @@ impl ProfileReport {
         }
         out
     }
-
-    /// Schema-versioned JSON rendering (`pmcf.profile/v1`).
-    pub fn to_json(&self) -> String {
-        fn span_json(s: &SpanReport, out: &mut String) {
-            out.push_str(&format!(
-                "{{\"name\":{},\"work\":{},\"depth\":{},\"wall_ns\":{},\"count\":{},\"children\":[",
-                json_string(&s.name),
-                s.work,
-                s.depth,
-                s.wall.as_nanos(),
-                s.count
-            ));
-            for (i, c) in s.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                span_json(c, out);
-            }
-            out.push_str("]}");
-        }
-        let mut out = format!(
-            "{{\"schema\":{},\"work\":{},\"depth\":{},\"spans\":[",
-            json_string(SCHEMA),
-            self.work,
-            self.depth
-        );
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            span_json(s, &mut out);
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(k), v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                json_string(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -629,24 +572,6 @@ mod tests {
         t.parallel(3, |i, t| t.counter("branch.hits", i as u64 + 1));
         let rep = t.profile_report().unwrap();
         assert_eq!(rep.counters["branch.hits"], 6);
-    }
-
-    #[test]
-    fn json_report_is_schema_versioned_and_balanced() {
-        let mut t = Tracker::profiled();
-        t.span("a", |t| {
-            t.charge(Cost::new(1, 1));
-            t.span("b", |t| t.charge(Cost::new(1, 1)));
-        });
-        t.counter("k\"ey", 1);
-        let json = t.profile_report().unwrap().to_json();
-        assert!(json.starts_with("{\"schema\":\"pmcf.profile/v1\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
-        assert!(json.contains("\\\"")); // escaping exercised
     }
 
     #[test]

@@ -516,16 +516,4 @@ proptest! {
         prop_assert_eq!(rs.joins, expect_joins);
         prop_assert_eq!(rp.joins, expect_joins);
     }
-
-    #[test]
-    fn span_json_stays_balanced(
-        ops in prop::collection::vec((0u8..6, 0u64..500, 0u64..50), 0..30)
-    ) {
-        let mut t = Tracker::profiled();
-        run_ops(&mut t, &ops, 0);
-        let json = t.profile_report().expect("profiled tracker reports").to_json();
-        prop_assert_eq!(json.matches('{').count(), json.matches('}').count());
-        prop_assert_eq!(json.matches('[').count(), json.matches(']').count());
-        prop_assert!(json.starts_with("{\"schema\":\"pmcf.profile/v1\""));
-    }
 }

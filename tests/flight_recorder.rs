@@ -7,7 +7,7 @@ use pmcf_core::init;
 use pmcf_core::reference::PathFollowConfig;
 use pmcf_graph::generators;
 use pmcf_obs::monitor::{all_ok, run_monitors, to_markdown};
-use pmcf_obs::{json, FlightRecorder};
+use pmcf_obs::{json, FlightRecorder, JsonValue};
 use pmcf_pram::Tracker;
 
 fn record_solve(engine: &str, seed: u64) -> (Vec<pmcf_obs::Event>, u64) {
@@ -52,7 +52,10 @@ fn reference_solve_recording_passes_all_monitors() {
     let iters: Vec<_> = events.iter().filter(|e| e.kind == "ipm.iter").collect();
     assert!(!iters.is_empty());
     for e in &iters {
-        assert_eq!(e.str_field("engine"), Some("reference"));
+        assert_eq!(
+            e.get("engine").and_then(JsonValue::as_str),
+            Some("reference")
+        );
         for field in ["iteration", "mu", "gap", "step", "work", "depth"] {
             assert!(e.num(field).is_some(), "ipm.iter without {field}");
         }
