@@ -3,15 +3,15 @@
 //! Every harness binary accepts `--json <path>` and `--seed <u64>` and,
 //! when asked, writes a schema-versioned JSON artifact next to the
 //! human-readable markdown it prints. The artifact carries the raw rows
-//! of each table, any fitted scaling exponents, the RNG seed, and — when
-//! `PMCF_PROFILE=1` — the hierarchical span-tree profile of a designated
-//! solve, so external tooling can diff runs without scraping stdout.
+//! of each table, any fitted scaling exponents, the RNG seed, and — under
+//! a `PMCF_REPORT` session, whose trackers are profiled — the
+//! hierarchical span-tree profile of a designated solve, so external
+//! tooling can diff runs without scraping stdout.
 //!
 //! Artifacts are built as [`JsonValue`]s and rendered by the workspace's
 //! one JSON writer (`pmcf_obs::json`).
 
 use pmcf_obs::json::{self, JsonValue};
-use pmcf_pram::profile::ProfileReport;
 use pmcf_pram::Tracker;
 use std::path::{Path, PathBuf};
 
@@ -158,24 +158,14 @@ impl Artifact {
     }
 
     /// Embed the span-tree profile of `t`, if it carries one (i.e. the
-    /// tracker came from [`pmcf_pram::profile::tracker_from_env`] under
-    /// `PMCF_PROFILE=1`). Also prints the flamegraph-style markdown
-    /// report to stdout. Returns whether a profile was attached.
-    pub fn attach_profile(&mut self, label: &str, t: &Tracker) -> bool {
-        match t.profile_report() {
-            Some(rep) => {
-                self.attach_profile_report(label, &rep);
-                true
-            }
-            None => false,
+    /// tracker came from `pmcf_obs::tracker()` during a `PMCF_REPORT`
+    /// session), and print it as a flamegraph-style markdown report.
+    pub fn attach_profile(&mut self, label: &str, t: &Tracker) {
+        if let Some(rep) = t.profile_report() {
+            self.md_line(&format!("\n### Span profile — {label}\n"));
+            self.md_line(&rep.to_markdown());
+            self.profile = Some(pmcf_obs::profile_json(&rep));
         }
-    }
-
-    /// Embed an already-extracted [`ProfileReport`] (and print it).
-    pub fn attach_profile_report(&mut self, label: &str, rep: &ProfileReport) {
-        self.md_line(&format!("\n### Span profile — {label}\n"));
-        self.md_line(&rep.to_markdown());
-        self.profile = Some(pmcf_obs::profile_json(rep));
     }
 
     /// The full artifact document.

@@ -2,22 +2,22 @@
 //! through the expander-decomposition-backed HeavySampler vs a dense
 //! `Θ(m)` correction of every coordinate.
 //!
-//! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
-//! span-tree profile of the last HeavySampler run.
+//! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
+//! `pmcf.report/v1` run report and embeds the span-tree profile of the
+//! last HeavySampler run.
 
 use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::PathFollowConfig;
 use pmcf_core::robust;
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
     let args = BenchArgs::parse();
     pmcf_obs::init_from_env();
     let seed = args.seed_or(9);
     let mut artifact = Artifact::for_run("ablation_sampler", seed, &args);
-    let mut profile = None;
+    let mut profiled = None;
 
     mdln!(
         args,
@@ -39,7 +39,7 @@ fn main() {
                 seed,
                 ..PathFollowConfig::default()
             };
-            let mut t = tracker_from_env();
+            let mut t = pmcf_obs::tracker();
             let (st, stats) =
                 robust::path_follow(&mut t, &ext.prob, ext.x0.clone(), mu0, mu_end, &cfg);
             let ok = pmcf_core::rounding::round_to_optimal(&ext.prob, &st.x).is_ok();
@@ -62,9 +62,7 @@ fn main() {
                 ("depth", t.depth().into()),
             ]);
             if !dense {
-                if let Some(rep) = t.profile_report() {
-                    profile = Some((format!("{label}, n={n}, m={m}"), rep));
-                }
+                profiled = Some((format!("{label}, n={n}, m={m}"), t));
             }
         }
     }
@@ -85,9 +83,9 @@ fn main() {
         "footprint — the corrected-coordinates column — carries the claim."
     );
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &profiled {
+        artifact.attach_profile(label, t);
     }
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("ablation_sampler", profiled.as_ref().map(|(_, t)| t));
 }

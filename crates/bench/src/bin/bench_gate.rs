@@ -5,12 +5,11 @@
 //! ```text
 //! bench-gate --baseline results/baseline/table1_mcf.json [--candidate <path|->]
 //!            [--baseline-report <path>] [--candidate-report <path>]
-//!            [--triage-top K]
-//!            [--work-ratio X] [--depth-ratio X] [--iter-ratio X]
-//!            [--wall-ratio X] [--exponent-slack X] [--quiet]
+//!            [--triage-top K] [--quiet]
 //! ```
 //!
-//! The candidate defaults to stdin, so a harness streams straight in:
+//! The thresholds are the constants in `pmcf_bench::gate`; no flag moves
+//! them. The candidate defaults to stdin, so a harness streams straight in:
 //! `table1_mcf -- --json - | bench-gate -- --baseline <baseline>`.
 //!
 //! When `--baseline-report` and `--candidate-report` name `pmcf.report/v1`
@@ -21,7 +20,7 @@
 //!
 //! Exit codes: 0 pass, 1 regression, 2 usage / I/O / parse error.
 
-use pmcf_bench::gate::{gate, parse_artifact, GateConfig};
+use pmcf_bench::gate::{gate, parse_artifact};
 use pmcf_obs::{diff_reports, RunReport};
 use std::io::Read;
 use std::process::ExitCode;
@@ -32,7 +31,6 @@ struct Cli {
     baseline_report: Option<String>,
     candidate_report: Option<String>,
     triage_top: usize,
-    cfg: GateConfig,
     quiet: bool,
 }
 
@@ -40,9 +38,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench-gate --baseline <path> [--candidate <path|->] \
          [--baseline-report <path>] [--candidate-report <path>] \
-         [--triage-top K] \
-         [--work-ratio X] [--depth-ratio X] [--iter-ratio X] \
-         [--wall-ratio X] [--exponent-slack X] [--quiet]"
+         [--triage-top K] [--quiet]"
     );
     std::process::exit(2);
 }
@@ -53,15 +49,8 @@ fn parse_cli() -> Cli {
     let mut baseline_report = None;
     let mut candidate_report = None;
     let mut triage_top = 10usize;
-    let mut cfg = GateConfig::default();
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
-    let next_f64 = |args: &mut dyn Iterator<Item = String>, flag: &str| -> f64 {
-        args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} requires a number");
-            usage()
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline = args.next(),
@@ -74,11 +63,6 @@ fn parse_cli() -> Cli {
                     usage()
                 })
             }
-            "--work-ratio" => cfg.work_ratio = next_f64(&mut args, "--work-ratio"),
-            "--depth-ratio" => cfg.depth_ratio = next_f64(&mut args, "--depth-ratio"),
-            "--iter-ratio" => cfg.iter_ratio = next_f64(&mut args, "--iter-ratio"),
-            "--wall-ratio" => cfg.wall_ratio = next_f64(&mut args, "--wall-ratio"),
-            "--exponent-slack" => cfg.exponent_slack = next_f64(&mut args, "--exponent-slack"),
             "--quiet" => quiet = true,
             other => {
                 eprintln!("unrecognized argument {other:?}");
@@ -96,7 +80,6 @@ fn parse_cli() -> Cli {
         baseline_report,
         candidate_report,
         triage_top,
-        cfg,
         quiet,
     }
 }
@@ -150,7 +133,7 @@ fn main() -> ExitCode {
         let cand_src = read_source(&cli.candidate)?;
         let base = parse_artifact(&base_src).map_err(|e| format!("baseline: {e}"))?;
         let cand = parse_artifact(&cand_src).map_err(|e| format!("candidate: {e}"))?;
-        let report = gate(&base, &cand, &cli.cfg)?;
+        let report = gate(&base, &cand)?;
         if !cli.quiet || !report.passed() {
             println!("{}", report.to_markdown());
         }

@@ -4,14 +4,14 @@
 //! figures; this is the observability a production solver ships with).
 //!
 //! Flags: `[n] --seed <u64> --json <path>`; the artifact embeds the
-//! `pmcf.report/v1` run report under `report`. `PMCF_PROFILE=1` adds the
-//! span-tree profile of the solve.
+//! `pmcf.report/v1` run report under `report`. `PMCF_REPORT=<path>` also
+//! writes that report to the path and adds the span-tree profile of the
+//! solve to both.
 
 use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -25,7 +25,7 @@ fn main() {
     let ext = init::extend(&p).expect("bench instance within magnitude bounds");
     let mu0 = init::initial_mu(&ext.prob, 0.25);
     let mu_end = init::final_mu(&ext.prob);
-    let mut t = tracker_from_env();
+    let mut t = pmcf_obs::tracker();
     pmcf_obs::report_begin();
     let (_, stats) = path_follow(
         &mut t,
@@ -35,7 +35,8 @@ fn main() {
         mu_end,
         &PathFollowConfig::default(),
     );
-    let mut report = pmcf_obs::take_run_report("convergence").expect("collection was begun");
+    // a snapshot: the collection stays open for `finish` to write
+    let mut report = pmcf_obs::run_report("convergence").expect("collection was begun");
     report.absorb_tracker(&t);
     let rows = &report.convergence;
     mdln!(
@@ -80,5 +81,5 @@ fn main() {
     artifact.set("report", report.to_json());
     artifact.attach_profile(&format!("reference IPM, n={n}, m={m}"), &t);
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("convergence", Some(&t));
 }

@@ -5,15 +5,15 @@
 //! the batch count. E-PRUNE: the volume pruned by decremental updates is
 //! proportional to the deleted volume, not the graph.
 //!
-//! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
-//! span-tree profile of the last E-PRUNE run.
+//! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
+//! `pmcf.report/v1` run report and embeds the span-tree profile of the
+//! last E-PRUNE run.
 
 use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_ds::heavy_hitter::HeavyHitter;
 use pmcf_expander::pruning::BoostedPruner;
 use pmcf_expander::DynamicExpanderDecomposition;
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 use pmcf_pram::Tracker;
 
 /// Base-4 weight-class exponent, mirroring `HeavyHitter`'s private
@@ -27,7 +27,7 @@ fn main() {
     pmcf_obs::init_from_env();
     let seed = args.seed_or(5);
     let mut artifact = Artifact::for_run("expander_dynamic", seed, &args);
-    let mut profile = None;
+    let mut profiled = None;
 
     mdln!(
         args,
@@ -42,7 +42,7 @@ fn main() {
         let g = generators::gnm_ugraph(n, m, seed);
         for &batch in &[16usize, 64, 256] {
             let mut d = DynamicExpanderDecomposition::new(n, 0.1, seed + 4);
-            let mut t = tracker_from_env();
+            let mut t = pmcf_obs::tracker();
             let mut batches = 0u64;
             for chunk in g.edges().chunks(batch) {
                 let _ = d.insert_edges(&mut t, chunk);
@@ -83,7 +83,7 @@ fn main() {
     for &n in &[128usize, 256, 512] {
         let g = generators::random_regular_ugraph(n, 8, seed.wrapping_sub(2));
         let mut p = BoostedPruner::new(g.clone(), 0.2);
-        let mut t = tracker_from_env();
+        let mut t = pmcf_obs::tracker();
         let mut deleted = 0usize;
         let mut pruned_vol = 0usize;
         // scattered deletions (certificate routes, nothing pruned) …
@@ -117,9 +117,7 @@ fn main() {
                 (t.work() as f64 / deleted as f64).into(),
             ),
         ]);
-        if let Some(rep) = t.profile_report() {
-            profile = Some((format!("E-PRUNE, n={n}"), rep));
-        }
+        profiled = Some((format!("E-PRUNE, n={n}"), t));
     }
     mdln!(
         args,
@@ -201,9 +199,9 @@ fn main() {
          unchanged-class skip should push the ratio far below 1."
     );
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &profiled {
+        artifact.attach_profile(label, t);
     }
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("expander_dynamic", profiled.as_ref().map(|(_, t)| t));
 }

@@ -3,13 +3,14 @@
 //! Sweeps n at m ≈ n^1.5 and fits iterations ~ n^a; the paper predicts
 //! a ≈ 0.5 (times log factors from the μ range).
 //!
-//! Flags: `[max_n] --seed <u64> --json <path>`.
+//! Flags: `[max_n] --seed <u64> --json <path>`; `PMCF_REPORT=<path>`
+//! writes a `pmcf.report/v1` run report and embeds the span-tree profile
+//! of the largest solve.
 
 use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs};
 use pmcf_core::init;
 use pmcf_core::reference::{path_follow, PathFollowConfig};
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -17,7 +18,7 @@ fn main() {
     let max_n = args.max_size_or(256);
     let seed = args.seed_or(11);
     let mut artifact = Artifact::for_run("iterations", seed, &args);
-    let mut profile = None;
+    let mut profiled = None;
 
     mdln!(
         args,
@@ -38,7 +39,7 @@ fn main() {
         let ext = init::extend(&p).expect("bench instance within magnitude bounds");
         let mu0 = init::initial_mu(&ext.prob, 0.25);
         let mu_end = init::final_mu(&ext.prob);
-        let mut t = tracker_from_env();
+        let mut t = pmcf_obs::tracker();
         let (_, stats) = path_follow(
             &mut t,
             &ext.prob,
@@ -68,9 +69,7 @@ fn main() {
             ("work", t.work().into()),
             ("depth", t.depth().into()),
         ]);
-        if let Some(rep) = t.profile_report() {
-            profile = Some((format!("reference IPM, n={n}, m={m}"), rep));
-        }
+        profiled = Some((format!("reference IPM, n={n}, m={m}"), t));
         pts.push((n as f64, stats.iterations as f64));
     }
     let a = fit_exponent(&pts);
@@ -80,9 +79,9 @@ fn main() {
     );
     artifact.set("exponent", a.into());
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &profiled {
+        artifact.attach_profile(label, t);
     }
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("iterations", profiled.as_ref().map(|(_, t)| t));
 }

@@ -18,26 +18,23 @@
 //!   operation counters are bit-identical between
 //!   `ParMode::Sequential` and `ParMode::Forked` execution.
 //!
-//! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
-//! span-tree profile of the largest run; `PMCF_REPORT=<path>` writes a
-//! unified `pmcf.report/v1` run report.
+//! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
+//! unified `pmcf.report/v1` run report and embeds the span-tree profile
+//! of the largest run.
 
 use pmcf_baselines::{dinic, push_relabel};
 use pmcf_bench::{fit_exponent, mdln, Artifact, BenchArgs};
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 use pmcf_pram::{ParMode, Tracker};
 use std::time::Instant;
 
 fn main() {
     let args = BenchArgs::parse();
     pmcf_obs::init_from_env();
-    pmcf_obs::report_init_from_env();
     let seed = args.seed_or(7);
     let mut artifact = Artifact::for_run("push_relabel", seed, &args);
     artifact.set("threads", rayon::current_num_threads().to_string().into());
-    let mut profile = None;
-    let mut last_tracker = None;
+    let mut last = None;
 
     mdln!(args, "## E-PR — parallel push-relabel max flow\n");
     mdln!(
@@ -52,7 +49,7 @@ fn main() {
     for &n in &[64usize, 128, 256, 512] {
         let m = 8 * n;
         let (g, cap) = generators::random_max_flow(n, m, 16, seed);
-        let mut t = tracker_from_env();
+        let mut t = pmcf_obs::tracker();
         let t0 = Instant::now();
         let out = push_relabel::max_flow(&mut t, &g, &cap, 0, n - 1)
             .unwrap_or_else(|e| panic!("push_relabel rejected n={n}: {e}"));
@@ -88,10 +85,7 @@ fn main() {
             ("pushes_per_second", pps.into()),
             ("dinic_agrees", agrees.into()),
         ]);
-        if let Some(rep) = t.profile_report() {
-            profile = Some((format!("push-relabel, n={n}, m={m}"), rep));
-        }
-        last_tracker = Some(t);
+        last = Some((format!("push-relabel, n={n}, m={m}"), t));
     }
 
     let we = fit_exponent(&work_pts);
@@ -126,10 +120,9 @@ fn main() {
     );
     artifact.set("cost_model_mode_invariant", mode_ok.into());
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &last {
+        artifact.attach_profile(label, t);
     }
-    pmcf_obs::report_finish("push_relabel", last_tracker.as_ref());
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("push_relabel", last.as_ref().map(|(_, t)| t));
 }

@@ -75,7 +75,6 @@ fn random_delta(p: &McfProblem, k: usize, rng: &mut SmallRng) -> ResolveDelta {
 fn main() {
     let args = BenchArgs::parse();
     pmcf_obs::init_from_env();
-    pmcf_obs::report_init_from_env();
     let seed = args.seed_or(23);
     let mut artifact = Artifact::for_run("resolve", seed, &args);
     artifact.set("threads", rayon::current_num_threads().to_string().into());
@@ -232,7 +231,6 @@ fn main() {
     artifact.set("objective_agreement_ok", agreement.into());
     artifact.set("stale_deletes_zero", (stale_total == 0).into());
 
-    pmcf_obs::report_finish("resolve", None);
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("resolve", None);
 }

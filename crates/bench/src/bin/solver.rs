@@ -25,10 +25,11 @@
 //!   `ParMode::Sequential`/`ParMode::Forked` execution of the same
 //!   branch program (thread scheduling must not leak into the model).
 //!
-//! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
-//! span-tree profile of the leverage run; `PMCF_REPORT=<path>` writes a
+//! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
 //! unified `pmcf.report/v1` run report with the warm IPM run's spans and
-//! per-iteration convergence table.
+//! per-iteration convergence table, and embeds the span-tree profile of
+//! the leverage run. The zero-allocation rows are measured without it:
+//! the session's recorder and trace allocate.
 
 use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_core::init;
@@ -41,8 +42,7 @@ use std::time::Instant;
 
 fn main() {
     let args = BenchArgs::parse();
-    pmcf_obs::init_from_env();
-    pmcf_obs::report_init_from_env();
+    let reporting = pmcf_obs::init_from_env();
     let seed = args.seed_or(11);
     let mut artifact = Artifact::for_run("solver", seed, &args);
     artifact.set("threads", rayon::current_num_threads().to_string().into());
@@ -89,7 +89,7 @@ fn main() {
     // the same work/depth bit for bit
     let (_, lev_t2) = run_leverage();
     let repeat_consistent = lev_t2.work() == lev_t.work() && lev_t2.depth() == lev_t.depth();
-    if std::env::var_os("PMCF_PROFILE").is_some() {
+    if reporting {
         profile = Some((format!("leverage, n={lev_n}, m={lev_m}"), lev_t));
     }
 
@@ -257,7 +257,6 @@ fn main() {
         let mut t = Tracker::profiled();
         let cfg = PathFollowConfig {
             warm_start: warm,
-            adaptive_tol: warm,
             ..PathFollowConfig::default()
         };
         let wall = Instant::now();
@@ -348,9 +347,8 @@ fn main() {
     if let Some((label, t)) = profile {
         artifact.attach_profile(&label, &t);
     }
-    pmcf_obs::report_finish("solver", Some(&warm_t));
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("solver", Some(&warm_t));
 }
 
 /// A profiler counter of `t`, or 0 when the tracker is unprofiled.

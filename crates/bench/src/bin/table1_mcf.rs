@@ -7,22 +7,22 @@
 //! (Theorem 1.2). All four solve each instance *exactly* (values cross
 //! checked); work/depth come from the PRAM cost model.
 //!
-//! Flags: `[max_n] --seed <u64> --json <path>`. With `PMCF_PROFILE=1`
-//! the robust engine's largest solve is span-profiled; the phase tree is
-//! printed and embedded in the artifact. With `PMCF_CRITPATH=1` every
-//! engine's largest solve additionally reports its critical path: the
-//! per-span attribution of the depth total, printed as a top-K table and
-//! embedded as `pmcf.critpath/v1` reports under the `critpath` key. With
-//! `PMCF_TRACE=1` (or `=<path>`) the run writes a Perfetto-loadable
-//! Chrome trace of the thread pool. With `PMCF_REPORT=<path>` the run
-//! writes a unified `pmcf.report/v1` run report (span tree, critical
-//! path, counters, pool telemetry, monitor verdicts, and the
-//! per-iteration IPM convergence table) for `report_diff` triage. At workstation scale the solve's
-//! epoch rebuilds (every `√n` iterations) outpace the 4× weight-class
-//! drift a `HeavyHitter` class move needs, so the solve alone never
-//! reaches the decremental expander path — the profiled run therefore
-//! also drives a delete → prune → trim → unit-flow maintenance drill on
-//! the same tracker so the artifact covers the whole stack.
+//! Flags: `[max_n] --seed <u64> --json <path>`. With `PMCF_REPORT=<path>`
+//! every solve is span-profiled and carries a depth ledger. The robust
+//! engine's largest solve's phase tree is printed and embedded in the
+//! artifact under `profile`; every engine's largest solve reports its
+//! critical path — the per-span attribution of the depth total, printed
+//! as a top-K table and embedded as `pmcf.critpath/v1` reports under the
+//! `critpath` key. The run also writes the unified `pmcf.report/v1` run
+//! report (span tree, critical path, counters, pool telemetry, monitor
+//! verdicts, and the per-iteration IPM convergence table) for
+//! `report_diff` triage, with the Perfetto trace and the flight
+//! recording beside it. At workstation scale the solve's epoch rebuilds
+//! (every `√n` iterations) outpace the 4× weight-class drift a
+//! `HeavyHitter` class move needs, so the solve alone never reaches the
+//! decremental expander path — the profiled run therefore also drives a
+//! delete → prune → trim → unit-flow maintenance drill on the same
+//! tracker so the artifact covers the whole stack.
 
 use pmcf_baselines::ssp;
 use pmcf_bench::{configs, fit_exponent, mdln, Artifact, BenchArgs};
@@ -30,13 +30,10 @@ use pmcf_core::solve_mcf;
 use pmcf_expander::DynamicExpanderDecomposition;
 use pmcf_graph::generators;
 use pmcf_obs::JsonValue;
-use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
     let args = BenchArgs::parse();
     pmcf_obs::init_from_env();
-    pmcf_obs::trace_init_from_env();
-    pmcf_obs::report_init_from_env();
     let max_n = args.max_size_or(144);
     let seed = args.seed_or(42);
     let mut artifact = Artifact::for_run("table1_mcf", seed, &args);
@@ -79,7 +76,7 @@ fn main() {
             ("cost", opt.cost(&p).into()),
         ]);
         for (name, cfg) in configs() {
-            let mut t = tracker_from_env();
+            let mut t = pmcf_obs::tracker();
             let wall = std::time::Instant::now();
             let sol = solve_mcf(&mut t, &p, &cfg).expect("feasible");
             let wall = wall.elapsed().as_secs_f64();
@@ -141,7 +138,7 @@ fn main() {
                 if name == "reference IPM" {
                     continue;
                 }
-                let mut t = tracker_from_env();
+                let mut t = pmcf_obs::tracker();
                 let sol = solve_mcf(&mut t, &p, &cfg).expect("feasible");
                 assert_eq!(sol.cost, opt.cost(&p));
                 works.push(t.work());
@@ -215,7 +212,7 @@ fn main() {
         artifact.set("critpath", JsonValue::Obj(cp));
     }
 
-    if let Some((label, mut t)) = profile {
+    if let Some((label, t)) = &mut profile {
         // maintenance drill: exercise the decremental expander path
         // (delete → prune → trim → unit-flow) that the solve's epochs
         // never reach at this scale, so the profile covers the stack
@@ -227,14 +224,8 @@ fn main() {
                 d.delete_edges(t, chunk);
             }
         });
-        if let Some(rep) = t.profile_report() {
-            artifact.attach_profile_report(&label, &rep);
-        }
-        // PMCF_REPORT: fold the profiled tracker (spans, counters,
-        // critpath) into the unified run report and write it out
-        pmcf_obs::report_finish("table1_mcf", Some(&t));
+        artifact.attach_profile(label, t);
     }
     artifact.emit(&args);
-    pmcf_obs::trace_finish();
-    pmcf_obs::finish();
+    pmcf_obs::finish("table1_mcf", profile.as_ref().map(|(_, t)| t));
 }

@@ -4,14 +4,15 @@
 //! high-diameter chained-clique family the IPM route (Corollary 1.5)
 //! keeps depth `Õ(√n)` at `Õ(m + n^1.5)` work. Both must agree exactly.
 //!
-//! Flags: `[max_blocks] --seed <u64> --json <path>`.
+//! Flags: `[max_blocks] --seed <u64> --json <path>`; `PMCF_REPORT=<path>`
+//! writes a `pmcf.report/v1` run report and embeds the span-tree profile
+//! of the largest IPM run.
 
 use pmcf_baselines::bfs;
 use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::corollaries::reachability;
 use pmcf_core::SolverConfig;
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 use pmcf_pram::Tracker;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
     let max_blocks = args.max_size_or(16);
     let seed = args.seed_or(7);
     let mut artifact = Artifact::for_run("table1_reach", seed, &args);
-    let mut profile = None;
+    let mut profiled = None;
 
     mdln!(
         args,
@@ -53,7 +54,7 @@ fn main() {
             ("depth", tb.depth().into()),
         ]);
         let _ = levels;
-        let mut ti = tracker_from_env();
+        let mut ti = pmcf_obs::tracker();
         let ipm_mask = reachability(&mut ti, &g, 0, &SolverConfig::default())
             .expect("valid reachability instance");
         assert_eq!(ipm_mask, bfs_mask, "reachability mismatch at k={k}");
@@ -72,9 +73,7 @@ fn main() {
             ("work", ti.work().into()),
             ("depth", ti.depth().into()),
         ]);
-        if let Some(rep) = ti.profile_report() {
-            profile = Some((format!("IPM reachability, n={n}, m={m}"), rep));
-        }
+        profiled = Some((format!("IPM reachability, n={n}, m={m}"), ti));
     }
     mdln!(
         args,
@@ -85,9 +84,9 @@ fn main() {
         "the IPM depth grows with √n·polylog — the crossover the paper claims."
     );
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &profiled {
+        artifact.attach_profile(label, t);
     }
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("table1_reach", profiled.as_ref().map(|(_, t)| t));
 }

@@ -6,23 +6,20 @@
 //! times (`allocs_per_iter == 0`, gated), with an advisory row for the
 //! full routing call (whose level buckets may still allocate).
 //!
-//! Flags: `--seed <u64> --json <path>`; `PMCF_PROFILE=1` embeds the
-//! span-tree profile of the last run; `PMCF_REPORT=<path>` writes a
-//! unified `pmcf.report/v1` run report.
+//! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
+//! unified `pmcf.report/v1` run report and embeds the span-tree profile
+//! of the last run.
 
 use pmcf_bench::{mdln, measure_allocs, Artifact, BenchArgs};
 use pmcf_expander::unit_flow::{parallel_unit_flow, UnitFlowProblem, UnitFlowState};
 use pmcf_graph::generators;
-use pmcf_pram::profile::tracker_from_env;
 
 fn main() {
     let args = BenchArgs::parse();
     pmcf_obs::init_from_env();
-    pmcf_obs::report_init_from_env();
     let seed = args.seed_or(1);
     let mut artifact = Artifact::for_run("unitflow", seed, &args);
-    let mut profile = None;
-    let mut last_tracker = None;
+    let mut last = None;
 
     mdln!(
         args,
@@ -47,7 +44,7 @@ fn main() {
             // forcing the flow to spread through the expander (total
             // demand stays below the global sink capacity rate·2m)
             let sources: Vec<(usize, f64)> = (0..k).map(|i| ((i * 37) % n, 12.0)).collect();
-            let mut t = tracker_from_env();
+            let mut t = pmcf_obs::tracker();
             let out = parallel_unit_flow(&mut t, &p, &mut s, &sources, 0.5, 50_000);
             assert!(out.remaining_excess < 1e-9, "unroutable at n={n} k={k}");
             mdln!(
@@ -68,10 +65,7 @@ fn main() {
                 ("depth", t.depth().into()),
                 ("sweeps", out.sweeps.into()),
             ]);
-            if let Some(rep) = t.profile_report() {
-                profile = Some((format!("unit flow, n={n}, sources={k}"), rep));
-            }
-            last_tracker = Some(t);
+            last = Some((format!("unit flow, n={n}, sources={k}"), t));
         }
     }
     mdln!(
@@ -129,7 +123,7 @@ fn main() {
             height: 50,
         };
         let mut s = UnitFlowState::take(g.n(), g.m());
-        let mut t = tracker_from_env();
+        let mut t = pmcf_obs::tracker();
         // prime one run so buckets reach steady-state size, then measure
         let _ = parallel_unit_flow(&mut t, &p, &mut s, &[(0, 6.0)], 0.5, 50_000);
         s.reset(g.n(), g.m());
@@ -149,10 +143,9 @@ fn main() {
         ]);
     }
 
-    if let Some((label, rep)) = profile {
-        artifact.attach_profile_report(&label, &rep);
+    if let Some((label, t)) = &last {
+        artifact.attach_profile(label, t);
     }
-    pmcf_obs::report_finish("unitflow", last_tracker.as_ref());
     artifact.emit(&args);
-    pmcf_obs::finish();
+    pmcf_obs::finish("unitflow", last.as_ref().map(|(_, t)| t));
 }

@@ -11,37 +11,23 @@
 
 use pmcf_obs::json::{parse, JsonValue};
 
-/// Gate thresholds. All ratio thresholds compare `candidate/baseline`
-/// and fire when the candidate is *worse* (larger); improvements never
-/// fail the gate.
-#[derive(Clone, Debug)]
-pub struct GateConfig {
-    /// Max allowed ratio for work-like counters (deterministic; 1.30
-    /// absorbs model drift from minor refactors, flags 2×).
-    pub work_ratio: f64,
-    /// Max allowed ratio for depth counters.
-    pub depth_ratio: f64,
-    /// Max allowed ratio for iteration counts.
-    pub iter_ratio: f64,
-    /// Advisory ratio for wall-clock metrics (produces warnings, never
-    /// failures).
-    pub wall_ratio: f64,
-    /// Absolute slack for fitted scaling exponents (|Δ| above this
-    /// fails).
-    pub exponent_slack: f64,
-}
+// Gate thresholds. Every ratio compares `candidate/baseline` and fires
+// when the candidate is *worse* (larger); improvements never fail the
+// gate. They are constants: a bound that could be set per run would only
+// add a way to loosen the gate.
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            work_ratio: 1.30,
-            depth_ratio: 1.30,
-            iter_ratio: 1.50,
-            wall_ratio: 3.0,
-            exponent_slack: 0.35,
-        }
-    }
-}
+/// Max allowed ratio for work-like counters (deterministic; 1.30 absorbs
+/// model drift from minor refactors, flags 2×).
+pub const WORK_RATIO: f64 = 1.30;
+/// Max allowed ratio for depth counters.
+pub const DEPTH_RATIO: f64 = 1.30;
+/// Max allowed ratio for iteration counts.
+pub const ITER_RATIO: f64 = 1.50;
+/// Advisory ratio for wall-clock metrics (produces warnings, never
+/// failures).
+pub const WALL_RATIO: f64 = 3.0;
+/// Absolute slack for fitted scaling exponents (|Δ| above this fails).
+pub const EXPONENT_SLACK: f64 = 0.35;
 
 /// How a metric is judged, inferred from its name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,7 +122,7 @@ impl GateReport {
         for f in self.failures() {
             let cap = row_param(&f.row, "n").or_else(|| row_param(&f.row, "size"));
             let mut cmd = format!(
-                "PMCF_PROFILE=1 PMCF_CRITPATH=1 PMCF_REPORT=results/candidate/{b}.report.json \
+                "PMCF_REPORT=results/candidate/{b}.report.json \
                  cargo run --release -p pmcf-bench --bin {b} --",
                 b = self.bench
             );
@@ -282,7 +268,6 @@ fn judge_metric(
     name: &str,
     base: &JsonValue,
     cand: &JsonValue,
-    cfg: &GateConfig,
     findings: &mut Vec<Finding>,
 ) -> bool {
     // boolean invariants: a true→false flip is always a regression
@@ -304,7 +289,7 @@ fn judge_metric(
     if let (JsonValue::Obj(bo), JsonValue::Obj(_)) = (base, cand) {
         for (k, bv) in bo {
             if let Some(cv) = cand.get(k) {
-                judge_metric(row, &format!("{name}.{k}"), bv, cv, cfg, findings);
+                judge_metric(row, &format!("{name}.{k}"), bv, cv, findings);
             }
         }
         return false;
@@ -316,23 +301,20 @@ fn judge_metric(
     match class {
         MetricClass::Exponent => {
             let delta = (c - b).abs();
-            if delta > cfg.exponent_slack {
+            if delta > EXPONENT_SLACK {
                 findings.push(Finding {
                     row: row.to_string(),
                     metric: name.to_string(),
                     baseline: b,
                     candidate: c,
                     severity: Severity::Fail,
-                    detail: format!(
-                        "exponent moved by {delta:.3} (slack {:.3})",
-                        cfg.exponent_slack
-                    ),
+                    detail: format!("exponent moved by {delta:.3} (slack {EXPONENT_SLACK:.3})"),
                 });
             }
         }
         MetricClass::Wall => {
             let r = ratio(b, c);
-            if r > cfg.wall_ratio {
+            if r > WALL_RATIO {
                 findings.push(Finding {
                     row: row.to_string(),
                     metric: name.to_string(),
@@ -340,17 +322,16 @@ fn judge_metric(
                     candidate: c,
                     severity: Severity::Warn,
                     detail: format!(
-                        "wall-clock {r:.2}× baseline (advisory, threshold {:.2}×)",
-                        cfg.wall_ratio
+                        "wall-clock {r:.2}× baseline (advisory, threshold {WALL_RATIO:.2}×)"
                     ),
                 });
             }
         }
         MetricClass::Work | MetricClass::Depth | MetricClass::Iter | MetricClass::Other => {
             let limit = match class {
-                MetricClass::Depth => cfg.depth_ratio,
-                MetricClass::Iter => cfg.iter_ratio,
-                _ => cfg.work_ratio,
+                MetricClass::Depth => DEPTH_RATIO,
+                MetricClass::Iter => ITER_RATIO,
+                _ => WORK_RATIO,
             };
             let r = ratio(b, c);
             if r > limit {
@@ -391,7 +372,7 @@ fn carries_depth_or_exponent(name: &str, v: &JsonValue) -> bool {
     }
 }
 
-/// Diff `candidate` against `baseline` under `cfg`.
+/// Diff `candidate` against `baseline`.
 ///
 /// Rows are matched by [`row_key`]; a baseline row with no candidate
 /// counterpart is itself a failure (coverage must not silently shrink).
@@ -399,11 +380,7 @@ fn carries_depth_or_exponent(name: &str, v: &JsonValue) -> bool {
 /// top-level metric) carries depth or exponent measurements it earns an
 /// advisory finding asking for a baseline pin, never a failure. Returns
 /// `Err` when the two artifacts are not the same bench.
-pub fn gate(
-    baseline: &JsonValue,
-    candidate: &JsonValue,
-    cfg: &GateConfig,
-) -> Result<GateReport, String> {
+pub fn gate(baseline: &JsonValue, candidate: &JsonValue) -> Result<GateReport, String> {
     let bench = baseline
         .get("bench")
         .and_then(JsonValue::as_str)
@@ -449,7 +426,7 @@ pub fn gate(
         if let Some(obj) = brow.as_obj() {
             for (name, bval) in obj {
                 if let Some(cval) = crow.get(name) {
-                    if judge_metric(&row_key(brow), name, bval, cval, cfg, &mut findings) {
+                    if judge_metric(&row_key(brow), name, bval, cval, &mut findings) {
                         metrics_compared += 1;
                     }
                 }
@@ -491,7 +468,7 @@ pub fn gate(
                 continue;
             }
             if let Some(cval) = candidate.get(name) {
-                if judge_metric("<top-level>", name, bval, cval, cfg, &mut findings) {
+                if judge_metric("<top-level>", name, bval, cval, &mut findings) {
                     metrics_compared += 1;
                 }
             }
@@ -554,7 +531,7 @@ mod tests {
     #[test]
     fn identical_artifacts_pass() {
         let a = art(&[("ref", 1000, 50, 0.1), ("robust", 800, 30, 0.2)], 1.5);
-        let r = gate(&a, &a, &GateConfig::default()).unwrap();
+        let r = gate(&a, &a).unwrap();
         assert!(r.passed(), "{}", r.to_markdown());
         assert_eq!(r.rows_compared, 2);
         assert!(r.findings.is_empty());
@@ -565,7 +542,7 @@ mod tests {
     fn five_percent_noise_passes() {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.50);
         let cand = art(&[("ref", 1050, 52, 0.104)], 1.55);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(r.passed(), "{}", r.to_markdown());
         assert!(r.findings.is_empty());
     }
@@ -574,7 +551,7 @@ mod tests {
     fn doubled_work_fails() {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.5);
         let cand = art(&[("ref", 2000, 50, 0.1)], 1.5);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(!r.passed());
         let f: Vec<_> = r.failures().collect();
         assert_eq!(f.len(), 1);
@@ -585,11 +562,11 @@ mod tests {
     fn missing_row_fails_but_extra_row_is_fine() {
         let base = art(&[("ref", 1000, 50, 0.1), ("robust", 800, 30, 0.2)], 1.5);
         let cand = art(&[("ref", 1000, 50, 0.1)], 1.5);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.metric == "<row>"));
         // reversed direction: candidate grew a row — allowed
-        let r2 = gate(&cand, &base, &GateConfig::default()).unwrap();
+        let r2 = gate(&cand, &base).unwrap();
         assert!(r2.passed(), "{}", r2.to_markdown());
     }
 
@@ -598,8 +575,8 @@ mod tests {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.50);
         let ok = art(&[("ref", 1000, 50, 0.1)], 1.80);
         let bad = art(&[("ref", 1000, 50, 0.1)], 1.90);
-        assert!(gate(&base, &ok, &GateConfig::default()).unwrap().passed());
-        let r = gate(&base, &bad, &GateConfig::default()).unwrap();
+        assert!(gate(&base, &ok).unwrap().passed());
+        let r = gate(&base, &bad).unwrap();
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.metric == "work_exponent"));
     }
@@ -608,7 +585,7 @@ mod tests {
     fn wall_clock_blowup_only_warns() {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.5);
         let cand = art(&[("ref", 1000, 50, 5.0)], 1.5);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(r.passed(), "wall must not gate: {}", r.to_markdown());
         assert!(r
             .findings
@@ -623,7 +600,7 @@ mod tests {
             r#"{"schema":"pmcf.bench/v1","bench":"demo","seed":42,"work_exponent":1.5,"rows":[{"solver":"ref","n":16,"m":64,"work":1000,"depth":50,"wall_seconds":0.1,"feasible":false}]}"#,
         )
         .unwrap();
-        let r = gate(&base, &src, &GateConfig::default()).unwrap();
+        let r = gate(&base, &src).unwrap();
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.metric == "feasible"));
     }
@@ -638,24 +615,24 @@ mod tests {
             r#"{"schema":"pmcf.bench/v1","bench":"demo","seed":1,"exponents":{"robust":2.1},"rows":[]}"#,
         )
         .unwrap();
-        let r = gate(&base, &bad, &GateConfig::default()).unwrap();
+        let r = gate(&base, &bad).unwrap();
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.metric == "exponents.robust"));
-        assert!(gate(&base, &base, &GateConfig::default()).unwrap().passed());
+        assert!(gate(&base, &base).unwrap().passed());
     }
 
     #[test]
     fn bench_mismatch_is_an_error() {
         let a = art(&[("ref", 1, 1, 0.1)], 1.5);
         let b = parse(r#"{"schema":"pmcf.bench/v1","bench":"other","seed":1,"rows":[]}"#).unwrap();
-        assert!(gate(&a, &b, &GateConfig::default()).is_err());
+        assert!(gate(&a, &b).is_err());
     }
 
     #[test]
     fn improvements_never_fail() {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.5);
         let cand = art(&[("ref", 100, 5, 0.01)], 1.5);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(r.passed(), "{}", r.to_markdown());
     }
 
@@ -675,12 +652,12 @@ mod tests {
             .unwrap()
         };
         let base = rows(1_700_000, 900_000, 800_000);
-        let r = gate(&base, &base, &GateConfig::default()).unwrap();
+        let r = gate(&base, &base).unwrap();
         assert!(r.passed(), "self-gate must pass: {}", r.to_markdown());
         assert!(r.findings.is_empty());
         // a genuine regression in the *last* sweep point still fails
         let bad = rows(1_700_000, 900_000, 1_700_000);
-        let r = gate(&base, &bad, &GateConfig::default()).unwrap();
+        let r = gate(&base, &bad).unwrap();
         assert!(!r.passed());
         assert!(r
             .failures()
@@ -697,7 +674,7 @@ mod tests {
                 {"section":"critpath","solver":"robust","n":16,"total_depth":4200}]}"#,
         )
         .unwrap();
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(r.passed(), "{}", r.to_markdown());
         assert!(r.findings.iter().any(|f| f.severity == Severity::Warn
             && f.metric == "<row>"
@@ -709,7 +686,7 @@ mod tests {
                 {"section":"extra","solver":"robust","n":16,"work":7}]}"#,
         )
         .unwrap();
-        let r = gate(&base, &quiet, &GateConfig::default()).unwrap();
+        let r = gate(&base, &quiet).unwrap();
         assert!(r.passed());
         assert!(r.findings.is_empty(), "{}", r.to_markdown());
     }
@@ -723,7 +700,7 @@ mod tests {
                 {"solver":"ref","n":16,"m":64,"work":1000,"depth":50,"wall_seconds":0.1,"feasible":true}]}"#,
         )
         .unwrap();
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(r.passed(), "{}", r.to_markdown());
         assert!(r
             .findings
@@ -737,7 +714,7 @@ mod tests {
                 {"solver":"ref","n":16,"m":64,"work":1000,"depth":50,"wall_seconds":0.1,"feasible":true}]}"#,
         )
         .unwrap();
-        let r = gate(&pinned, &drifted, &GateConfig::default()).unwrap();
+        let r = gate(&pinned, &drifted).unwrap();
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.metric == "depth_exponents.robust"));
     }
@@ -746,7 +723,7 @@ mod tests {
     fn failing_gate_carries_exact_repro_command() {
         let base = art(&[("ref", 1000, 50, 0.1)], 1.5);
         let cand = art(&[("ref", 2000, 120, 0.1)], 1.5);
-        let r = gate(&base, &cand, &GateConfig::default()).unwrap();
+        let r = gate(&base, &cand).unwrap();
         assert!(!r.passed());
         assert_eq!(r.seed, Some(42));
         let repro = r.repro_commands();
@@ -757,7 +734,10 @@ mod tests {
         assert!(cmd.contains("--bin demo"), "{cmd}");
         assert!(cmd.contains(" 16 "), "instance size from row key: {cmd}");
         assert!(cmd.contains("--seed 42"), "{cmd}");
-        assert!(cmd.contains("PMCF_REPORT="), "{cmd}");
+        assert!(
+            cmd.starts_with("PMCF_REPORT=results/candidate/demo.report.json cargo run"),
+            "{cmd}"
+        );
         let md = r.to_markdown();
         assert!(md.contains("### Reproduce"), "{md}");
         assert!(md.contains(cmd.as_str()), "{md}");
@@ -766,7 +746,7 @@ mod tests {
     #[test]
     fn passing_gate_has_no_repro_section() {
         let a = art(&[("ref", 1000, 50, 0.1)], 1.5);
-        let r = gate(&a, &a, &GateConfig::default()).unwrap();
+        let r = gate(&a, &a).unwrap();
         assert!(r.repro_commands().is_empty());
         assert!(!r.to_markdown().contains("### Reproduce"));
     }

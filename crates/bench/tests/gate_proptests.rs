@@ -2,7 +2,7 @@
 //! ±5% must never fail the gate, while a synthetic 2× work regression
 //! must always be flagged — across randomly shaped artifacts.
 
-use pmcf_bench::gate::{gate, parse_artifact, GateConfig, Severity};
+use pmcf_bench::gate::{gate, parse_artifact, Severity, WORK_RATIO};
 use pmcf_obs::json::JsonValue;
 use proptest::prelude::*;
 
@@ -53,7 +53,6 @@ proptest! {
         let report = gate(
             &artifact(&baseline, 1.5),
             &artifact(&candidate, 1.5 * noise),
-            &GateConfig::default(),
         )
         .unwrap();
         prop_assert!(
@@ -85,11 +84,7 @@ proptest! {
                 (s.clone(), w, *d, *it)
             })
             .collect();
-        let report = gate(
-            &artifact(&baseline, 1.5),
-            &artifact(&candidate, 1.5),
-            &GateConfig::default(),
-        )
+        let report = gate(&artifact(&baseline, 1.5), &artifact(&candidate, 1.5))
         .unwrap();
         prop_assert!(!report.passed(), "2x work passed:\n{}", report.to_markdown());
         prop_assert!(
@@ -110,9 +105,8 @@ proptest! {
     ) {
         let base = artifact(&[("s".to_string(), work, 100, 50)], 1.5);
         let cand = artifact(&[("s".to_string(), scale(work, factor), 100, 50)], 1.5);
-        let cfg = GateConfig::default();
-        let a = gate(&base, &cand, &cfg).unwrap();
-        let b = gate(&base, &cand, &cfg).unwrap();
+        let a = gate(&base, &cand).unwrap();
+        let b = gate(&base, &cand).unwrap();
         prop_assert_eq!(a.passed(), b.passed());
         prop_assert_eq!(a.findings.len(), b.findings.len());
         for (x, y) in a.findings.iter().zip(&b.findings) {
@@ -122,6 +116,6 @@ proptest! {
         // and the threshold itself is sharp: > work_ratio iff flagged
         let flagged = a.failures().any(|f| f.metric == "work");
         let ratio = scale(work, factor) as f64 / work as f64;
-        prop_assert_eq!(flagged, ratio > cfg.work_ratio);
+        prop_assert_eq!(flagged, ratio > WORK_RATIO);
     }
 }

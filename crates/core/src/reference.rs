@@ -74,47 +74,42 @@ pub(crate) fn emit_solve_end(engine: &'static str, t: &Tracker, stats: &PathStat
     });
 }
 
+/// Centering tolerance: the `‖z‖_∞` target after correction.
+pub const CENTER_TOL: f64 = 0.25;
+/// μ shrink factor numerator: `μ ← μ(1 − r/√Στ)`.
+pub const STEP_R: f64 = 0.5;
+/// Corrector Newton steps per μ value (cap).
+pub const MAX_CORRECTORS: usize = 12;
+/// Hard iteration cap (safety).
+pub const MAX_ITERS: usize = 200_000;
+
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PathFollowConfig {
-    /// Centering tolerance `‖z‖_∞` target after correction.
-    pub center_tol: f64,
-    /// μ shrink factor numerator: `μ ← μ(1 − r/√Στ)`.
-    pub step_r: f64,
-    /// Corrector Newton steps per μ value (cap).
-    pub max_correctors: usize,
     /// Refresh the barrier weights every this many iterations.
     pub tau_refresh: usize,
-    /// Hard iteration cap (safety).
-    pub max_iters: usize,
     /// RNG seed for leverage estimation.
     pub seed: u64,
     /// Ablation (A-ABL): replace the HeavySampler's expander-driven
     /// sparsification of `δ_x` with a dense `Θ(m)` correction.
     pub dense_sampling: bool,
     /// Warm-start each Newton solve from the previous step's solution
-    /// (`D` drifts slowly along the central path). Disable to measure the
-    /// cold-start baseline; `solver.warm_start_hits` counts acceptances.
+    /// (`D` drifts slowly along the central path) and adapt the CG
+    /// tolerance per phase: loose when far from centered (the damped
+    /// line search absorbs direction error), tight near the path.
+    /// Disable to measure the cold-start baseline, with every solve at
+    /// the solver's construction-time tolerance;
+    /// `solver.warm_start_hits` counts acceptances.
     pub warm_start: bool,
-    /// Per-phase adaptive CG tolerance: solve the Newton system loosely
-    /// when far from centered (the damped line search absorbs direction
-    /// error) and tightly near the path. Disable to pin every solve at
-    /// the solver's construction-time tolerance.
-    pub adaptive_tol: bool,
 }
 
 impl Default for PathFollowConfig {
     fn default() -> Self {
         PathFollowConfig {
-            center_tol: 0.25,
-            step_r: 0.5,
-            max_correctors: 12,
             tau_refresh: 25,
-            max_iters: 200_000,
             seed: 0x5eed,
             dense_sampling: false,
             warm_start: true,
-            adaptive_tol: true,
         }
     }
 }
@@ -264,7 +259,7 @@ fn path_follow_inner(
     };
     barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
     let mut stats = PathStats::default();
-    emit_solve_start(label, n, m, mu0, mu_end, cfg.step_r, cfg.center_tol);
+    emit_solve_start(label, n, m, mu0, mu_end, STEP_R, CENTER_TOL);
 
     let refresh_tau =
         |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, round: usize| {
@@ -343,7 +338,7 @@ fn path_follow_inner(
                 // Per-phase adaptive tolerance: far from centered (large
                 // ‖z‖_∞) a loose direction suffices — the damped line search
                 // absorbs the error; near the path, tighten back down.
-                let tol = if cfg.adaptive_tol {
+                let tol = if cfg.warm_start {
                     (worst * 1e-6).clamp(1e-10, 1e-4)
                 } else {
                     SolverOpts::default().tol
@@ -414,7 +409,7 @@ fn path_follow_inner(
         };
 
     t.span("ipm/loop", |t| {
-        while st.mu > mu_end && stats.iterations < cfg.max_iters {
+        while st.mu > mu_end && stats.iterations < MAX_ITERS {
             stats.iterations += 1;
             t.counter("ipm.iterations", 1);
             let mu_at_start = st.mu;
@@ -425,14 +420,14 @@ fn path_follow_inner(
                 refresh_tau(t, &mut st, &mut stats, round);
             }
             // corrector: re-center at current μ
-            for _ in 0..cfg.max_correctors {
+            for _ in 0..MAX_CORRECTORS {
                 let (_, worst) = centrality(&st, &cap);
                 t.charge(Cost::par_flat(m as u64));
-                if worst <= cfg.center_tol {
+                if worst <= CENTER_TOL {
                     pmcf_obs::emit_with("ipm.centered", || {
                         vec![
                             ("centrality", worst.into()),
-                            ("limit", cfg.center_tol.into()),
+                            ("limit", CENTER_TOL.into()),
                             ("phase", "corrector".into()),
                         ]
                     });
@@ -445,7 +440,7 @@ fn path_follow_inner(
             }
             // predictor: shrink μ
             let tau_sum: f64 = st.tau.iter().sum();
-            let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);
+            let shrink = (1.0 - STEP_R / tau_sum.sqrt().max(1.0)).max(0.5);
             pmcf_obs::record_ipm_iter(|| pmcf_obs::IpmIterRow {
                 engine: label.to_string(),
                 iteration: stats.iterations as u64,
@@ -462,9 +457,9 @@ fn path_follow_inner(
     });
     // final polish at μ_end
     t.span("ipm/polish", |t| {
-        for _ in 0..cfg.max_correctors {
+        for _ in 0..MAX_CORRECTORS {
             let (_, worst) = centrality(&st, &cap);
-            if worst <= cfg.center_tol {
+            if worst <= CENTER_TOL {
                 break;
             }
             if newton(t, &mut st, &mut stats, worst) < 1e-12 {
@@ -478,11 +473,11 @@ fn path_follow_inner(
     // exhausted while still far outside the ε-centered ball — the
     // termination certificate below would then be a lie. Fixed-μ damped
     // Newton is globally convergent, so keep correcting with a larger
-    // budget; cold runs are already inside `center_tol` and never enter.
+    // budget; cold runs are already inside `CENTER_TOL` and never enter.
     if worst > 1.0 {
         t.span("ipm/polish", |t| {
-            for _ in 0..64 * cfg.max_correctors.max(1) {
-                if worst <= cfg.center_tol {
+            for _ in 0..64 * MAX_CORRECTORS {
+                if worst <= CENTER_TOL {
                     break;
                 }
                 if newton(t, &mut st, &mut stats, worst) < 1e-12 {

@@ -27,7 +27,7 @@
 use crate::barrier;
 use crate::reference::{
     centrality, emit_solve_end, emit_solve_start, CentralPathState, PathFollowConfig, PathStats,
-    WarmInit,
+    WarmInit, CENTER_TOL, MAX_CORRECTORS, MAX_ITERS, STEP_R,
 };
 use pmcf_ds::dual::DualMaintenance;
 use pmcf_ds::heavy_sampler::HeavySampler;
@@ -308,7 +308,7 @@ fn path_follow_inner(
     };
     barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
     let mut stats = PathStats::default();
-    emit_solve_start(label, n, m, mu0, mu_end, cfg.step_r, cfg.center_tol);
+    emit_solve_start(label, n, m, mu0, mu_end, STEP_R, CENTER_TOL);
 
     // One buffer arena for the whole solve: Newton temporaries, the
     // per-step RHS copies, and all CG scratch (including the short-lived
@@ -331,11 +331,11 @@ fn path_follow_inner(
                 t.counter("ipm.recenterings", 1);
                 for _ in 0..rounds {
                     let (_, worst) = centrality(st, &cap);
-                    if worst <= cfg.center_tol {
+                    if worst <= CENTER_TOL {
                         pmcf_obs::emit_with("ipm.centered", || {
                             vec![
                                 ("centrality", worst.into()),
-                                ("limit", cfg.center_tol.into()),
+                                ("limit", CENTER_TOL.into()),
                                 ("phase", "recenter".into()),
                             ]
                         });
@@ -346,7 +346,7 @@ fn path_follow_inner(
                     // scale the CG tolerance to the current centrality so
                     // early recentering rounds stop burning depth on
                     // accuracy the next round discards.
-                    let newton_opts = if cfg.adaptive_tol {
+                    let newton_opts = if cfg.warm_start {
                         Some(SolverOpts {
                             tol: (worst * 1e-6).clamp(1e-9, 1e-4),
                             max_iter: 1500,
@@ -394,7 +394,7 @@ fn path_follow_inner(
         })
     };
     refresh_tau_dense(t, &mut st, 0);
-    recenter(t, &mut st, &mut stats, cfg.max_correctors);
+    recenter(t, &mut st, &mut stats, MAX_CORRECTORS);
 
     let epoch = ((n as f64).sqrt().ceil() as usize).max(8);
     let mut rs = build_structures(t, p, &cap, &st.x, &st.s, st.mu, &solver, &st.tau, cfg.seed);
@@ -408,7 +408,7 @@ fn path_follow_inner(
     let mut step_solver: Option<StepSolver> = None;
 
     t.span("ipm/loop", |t| {
-        while st.mu > mu_end && stats.iterations < cfg.max_iters {
+        while st.mu > mu_end && stats.iterations < MAX_ITERS {
             stats.iterations += 1;
             t.counter("ipm.iterations", 1);
             let cg_at_start = stats.cg_iterations;
@@ -734,7 +734,7 @@ fn path_follow_inner(
             }
 
             // μ step (Στ̄ maintained incrementally)
-            let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);
+            let shrink = (1.0 - STEP_R / tau_sum.sqrt().max(1.0)).max(0.5);
             pmcf_obs::record_ipm_iter(|| pmcf_obs::IpmIterRow {
                 engine: label.to_string(),
                 iteration: stats.iterations as u64,
@@ -755,14 +755,14 @@ fn path_follow_inner(
     st.s = rs.dm.compute_exact(t);
     barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
     refresh_tau_dense(t, &mut st, stats.iterations + 1);
-    recenter(t, &mut st, &mut stats, 2 * cfg.max_correctors);
+    recenter(t, &mut st, &mut stats, 2 * MAX_CORRECTORS);
     let (_, mut worst) = centrality(&st, &cap);
     // Extended rescue: warm starts can land here still outside the
     // ε-centered ball (the μ loop may have run zero iterations); keep
     // recentering with a larger budget before certifying termination.
-    // Cold runs already sit inside `center_tol` and skip this entirely.
+    // Cold runs already sit inside `CENTER_TOL` and skip this entirely.
     if worst > 1.0 {
-        recenter(t, &mut st, &mut stats, 64 * cfg.max_correctors.max(1));
+        recenter(t, &mut st, &mut stats, 64 * MAX_CORRECTORS);
         worst = centrality(&st, &cap).1;
     }
     stats.final_centrality = worst;

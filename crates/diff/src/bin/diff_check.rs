@@ -7,14 +7,11 @@
 //! ```
 //!
 //! Runs every registered family for seeds `0..N` through every
-//! applicable oracle. On a mismatch the instance is greedily shrunk and
-//! written as a `pmcf.case/v1` file under `--cases` (default
-//! `results/cases/`), a `diff.mismatch` / `diff.case_saved` event pair
-//! is emitted to the flight recorder (`PMCF_EVENTS=<path>` to capture),
-//! and the exit code is 1.
+//! applicable oracle. On a mismatch a `MISMATCH` line goes to stderr,
+//! the instance is greedily shrunk and written as a `pmcf.case/v1` file
+//! under `--cases` (default `results/cases/`), and the exit code is 1.
 
 use pmcf_diff::{families, run_scenario, CaseFile};
-use pmcf_obs::emit_with;
 use std::path::PathBuf;
 
 struct Args {
@@ -78,13 +75,11 @@ fn usage(err: &str) -> ! {
 
 fn main() {
     let args = parse_args();
-    pmcf_obs::init_from_env();
     let code = if args.replay.is_empty() {
         fuzz(&args)
     } else {
         replay(&args)
     };
-    pmcf_obs::finish();
     std::process::exit(code);
 }
 
@@ -153,14 +148,6 @@ fn fuzz(args: &Args) -> i32 {
                 format!("monitor failures: {}", report.monitor_failures.join("; "))
             });
             eprintln!("MISMATCH  {} seed {seed}: {reason}", f.name);
-            emit_with("diff.mismatch", || {
-                vec![
-                    ("family", f.name.into()),
-                    ("seed", seed.into()),
-                    ("task", sc.task().into()),
-                    ("reason", reason.as_str().into()),
-                ]
-            });
             // shrink while the failure (any unclean report) persists
             let small = pmcf_diff::shrink::shrink(&sc, &|cand| !run_scenario(cand).clean());
             let case = CaseFile {
@@ -173,16 +160,7 @@ fn fuzz(args: &Args) -> i32 {
                 args.cases_dir
                     .join(format!("{}_seed{}.json", f.name.replace('-', "_"), seed));
             match case.write_to(&path) {
-                Ok(()) => {
-                    eprintln!("          shrunken case written to {}", path.display());
-                    emit_with("diff.case_saved", || {
-                        vec![
-                            ("family", f.name.into()),
-                            ("seed", seed.into()),
-                            ("path", path.display().to_string().into()),
-                        ]
-                    });
-                }
+                Ok(()) => eprintln!("          shrunken case written to {}", path.display()),
                 Err(e) => eprintln!("          could not write case file: {e}"),
             }
         }

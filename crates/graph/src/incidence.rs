@@ -21,7 +21,7 @@
 //! unfused composition (proptest-pinned).
 
 use crate::DiGraph;
-use pmcf_pram::{seq_cutoff, Cost, Tracker};
+use pmcf_pram::{Cost, Tracker, SEQ_CUTOFF};
 use rayon::prelude::*;
 
 /// `(A h)_e = h[head(e)] - h[tail(e)]` for every edge.
@@ -37,7 +37,7 @@ pub fn apply_a_into(t: &mut Tracker, g: &DiGraph, h: &[f64], out: &mut [f64]) {
     assert_eq!(out.len(), g.m());
     t.charge(Cost::par_flat(g.m() as u64));
     let edges = g.edges();
-    if edges.len() < seq_cutoff() {
+    if edges.len() < SEQ_CUTOFF {
         for (o, &(u, v)) in out.iter_mut().zip(edges) {
             *o = h[v] - h[u];
         }
@@ -82,7 +82,7 @@ pub fn apply_at_into(t: &mut Tracker, g: &DiGraph, x: &[f64], out: &mut [f64]) {
         }
         acc
     };
-    if g.n() < seq_cutoff() {
+    if g.n() < SEQ_CUTOFF {
         for (v, o) in out.iter_mut().enumerate() {
             *o = body(v);
         }
@@ -111,7 +111,7 @@ pub fn apply_laplacian(
     debug_assert!(y[ground] == 0.0, "grounded coordinate must be zero");
     let mut ay = apply_a(t, g, y);
     t.charge(Cost::par_flat(g.m() as u64));
-    if ay.len() < seq_cutoff() {
+    if ay.len() < SEQ_CUTOFF {
         for (a, w) in ay.iter_mut().zip(d) {
             *a *= w;
         }
@@ -180,7 +180,7 @@ pub fn apply_laplacian_fused_into(
         }
         acc
     };
-    if g.n() < seq_cutoff() {
+    if g.n() < SEQ_CUTOFF {
         for (v, o) in out.iter_mut().enumerate() {
             *o = body(v);
         }

@@ -9,9 +9,9 @@
 //! The buffer is a ring: when more than `capacity` events are emitted the
 //! *oldest* are evicted — the latest events (the ones that explain a
 //! failure) are always retained, and the header of the dump records how
-//! many were dropped. `init_from_env` additionally registers a panic hook
-//! so a crashing run still leaves its recording behind
-//! (`PMCF_EVENTS=<path>` → dump on exit *and* on panic).
+//! many were dropped. A `PMCF_REPORT` session ([`crate::init_from_env`])
+//! installs a [`DEFAULT_CAPACITY`] ring and registers a panic hook, so a
+//! crashing run still leaves its `<path>.events.jsonl` recording behind.
 
 use crate::event::{Event, SCHEMA};
 use crate::json::{self, JsonValue};
@@ -20,8 +20,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
-/// Environment variable naming the JSONL output path.
-pub const EVENTS_ENV: &str = "PMCF_EVENTS";
 /// Default ring capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
@@ -180,16 +178,12 @@ pub fn with_recorder<T>(f: impl FnOnce(&mut FlightRecorder) -> T) -> Option<T> {
     RECORDER.with(|r| r.borrow_mut().as_mut().map(f))
 }
 
-/// Install a recorder from the environment: when `PMCF_EVENTS=<path>` is
-/// set, record into a ring of [`DEFAULT_CAPACITY`] events, dump to
-/// `<path>` on [`finish`] and — via a process-wide panic hook — on
-/// panic. Returns whether recording was enabled.
-pub fn init_from_env() -> bool {
-    let Some(path) = std::env::var_os(EVENTS_ENV).filter(|p| !p.is_empty()) else {
-        return false;
-    };
+/// Install a [`DEFAULT_CAPACITY`] recorder on this thread that dumps
+/// to `path` — on [`FlightRecorder::dump`] and, via a process-wide panic
+/// hook, when the thread panics.
+pub(crate) fn install_dumping(path: std::path::PathBuf) {
     let mut rec = FlightRecorder::new(DEFAULT_CAPACITY);
-    rec.output = Some(std::path::PathBuf::from(path));
+    rec.output = Some(path);
     install(rec);
     PANIC_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -205,15 +199,6 @@ pub fn init_from_env() -> bool {
             prev(info);
         }));
     });
-    true
-}
-
-/// Finish recording on this thread: dump to the configured output (if
-/// any) and uninstall. Returns the recorder for inspection.
-pub fn finish() -> Option<FlightRecorder> {
-    let rec = uninstall()?;
-    rec.dump();
-    Some(rec)
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //!
 //! Two ways to produce one:
 //!
-//! * **Environment** — set `PMCF_REPORT=<path>` and call
-//!   [`report_init_from_env`] at process start; both IPM loops then feed
-//!   [`record_ipm_iter`] (which also emits the `ipm.iter` event when a
-//!   flight recorder is installed), and `tracker_from_env` (in `pmcf-pram`)
-//!   switches the span profiler and depth ledger on automatically. At
-//!   the end of the run, [`report_finish`] lands the artifact.
+//! * **Session** — a `PMCF_REPORT=<path>` session
+//!   ([`crate::init_from_env`] … [`crate::finish`]) begins the
+//!   collector, both IPM loops feed [`record_ipm_iter`] (which also
+//!   emits the `ipm.iter` event to the session's flight recorder), the
+//!   bins' [`crate::tracker`]s carry the span profiler and depth ledger,
+//!   and `finish` writes the report to `<path>`.
 //! * **Builder** — call [`report_begin`] / [`record_ipm_iter`] /
 //!   [`take_run_report`] programmatically (tests, embedding harnesses).
 //!
@@ -32,16 +32,14 @@
 
 use crate::json::{self, JsonValue};
 use crate::monitor::{run_monitors, Verdict};
-use crate::recorder::{self, FlightRecorder, DEFAULT_CAPACITY};
+use crate::recorder;
 use pmcf_pram::profile::{ProfileReport, SpanReport};
 use pmcf_pram::{CritPathEntry, CritPathReport, Tracker};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-pub use pmcf_pram::profile::REPORT_ENV;
 
 /// Schema identifier stamped into every run report.
 pub const REPORT_SCHEMA: &str = "pmcf.report/v1";
@@ -439,25 +437,13 @@ impl RunReport {
 // The process-global convergence collector.
 // ---------------------------------------------------------------------
 
-struct CollectorState {
-    rows: Vec<IpmIterRow>,
-    path: Option<PathBuf>,
-    /// Whether [`report_init_from_env`] installed its own flight
-    /// recorder (vs. piggybacking on a `PMCF_EVENTS` one).
-    installed_recorder: bool,
-}
-
 /// Fast gate: one relaxed load decides the disabled path.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-static COLLECTOR: Mutex<CollectorState> = Mutex::new(CollectorState {
-    rows: Vec::new(),
-    path: None,
-    installed_recorder: false,
-});
+static ROWS: Mutex<Vec<IpmIterRow>> = Mutex::new(Vec::new());
 
-fn lock_collector() -> std::sync::MutexGuard<'static, CollectorState> {
-    COLLECTOR.lock().unwrap_or_else(|e| e.into_inner())
+fn lock_rows() -> std::sync::MutexGuard<'static, Vec<IpmIterRow>> {
+    ROWS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Whether a run report is currently being collected.
@@ -466,36 +452,10 @@ fn report_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Start collecting a run report programmatically (clears any previous
-/// collection; no output path is set — the caller keeps the report).
+/// Start collecting a run report (clears any previous collection).
 pub fn report_begin() {
-    let mut st = lock_collector();
-    st.rows.clear();
-    st.path = None;
-    st.installed_recorder = false;
+    lock_rows().clear();
     ACTIVE.store(true, Ordering::Relaxed);
-}
-
-/// Start collecting from the environment: when `PMCF_REPORT=<path>` is
-/// set, activate the collector with `<path>` as the output target and —
-/// if no flight recorder is installed (no `PMCF_EVENTS`) — install one
-/// so the report's monitor verdicts cover the run's events. Returns
-/// whether collection was enabled.
-pub fn report_init_from_env() -> bool {
-    let Some(path) = std::env::var_os(REPORT_ENV).filter(|p| !p.is_empty()) else {
-        return false;
-    };
-    let mut st = lock_collector();
-    st.rows.clear();
-    st.path = Some(PathBuf::from(path));
-    st.installed_recorder = if recorder::recording() {
-        false
-    } else {
-        recorder::install(FlightRecorder::new(DEFAULT_CAPACITY));
-        true
-    };
-    ACTIVE.store(true, Ordering::Relaxed);
-    true
 }
 
 /// Whether [`record_ipm_iter`] has a sink: a flight recorder on this
@@ -522,29 +482,20 @@ pub fn record_ipm_iter(row: impl FnOnce() -> IpmIterRow) {
         recorder::emit_with("ipm.iter", || row.fields());
     }
     if report {
-        lock_collector().rows.push(row);
+        lock_rows().push(row);
     }
 }
 
-/// Finish collecting: deactivate and assemble a [`RunReport`] named
-/// `name` with the convergence table, pool-telemetry summary, and
-/// monitor verdicts over the current flight recording. Returns `None`
-/// when no collection was active. [`report_finish`] is this plus
-/// writing the report to the `PMCF_REPORT` path.
-pub fn take_run_report(name: &str) -> Option<RunReport> {
-    if !ACTIVE.swap(false, Ordering::Relaxed) {
+/// The report collected so far, named `name`, without stopping the
+/// collection: the convergence table, a pool-telemetry summary, and the
+/// monitor verdicts over this thread's flight recording. Returns `None`
+/// when no collection is active.
+pub fn run_report(name: &str) -> Option<RunReport> {
+    if !report_active() {
         return None;
     }
-    let (rows, installed) = {
-        let mut st = lock_collector();
-        let installed = std::mem::take(&mut st.installed_recorder);
-        (std::mem::take(&mut st.rows), installed)
-    };
     let verdicts = recorder::with_recorder(|r| run_monitors(&r.snapshot()))
         .unwrap_or_else(|| run_monitors(&[]));
-    if installed {
-        recorder::uninstall();
-    }
     let pool = rayon::telemetry::snapshot();
     let mut report = RunReport::new(name);
     report.threads = pool.threads as u64;
@@ -558,39 +509,22 @@ pub fn take_run_report(name: &str) -> Option<RunReport> {
         imbalance: pool.imbalance_ratio(),
     });
     report.verdicts = verdicts;
-    report.convergence = rows;
+    report.convergence = lock_rows().clone();
     Some(report)
 }
 
-/// The output path `PMCF_REPORT` named at init time (if any).
-fn report_output_path() -> Option<PathBuf> {
-    lock_collector().path.clone()
-}
-
-/// Finish a `PMCF_REPORT` run: assemble the report named `name` (see
-/// [`take_run_report`]), fold in `t` when given, and write it to the
-/// path `PMCF_REPORT` named. Does nothing when no collection was active.
-pub fn report_finish(name: &str, t: Option<&Tracker>) {
-    let Some(mut run) = take_run_report(name) else {
-        return;
-    };
-    if let Some(t) = t {
-        run.absorb_tracker(t);
-    }
-    if let Some(path) = report_output_path() {
-        match run.write(&path) {
-            Ok(()) => eprintln!(
-                "{name}: wrote {REPORT_SCHEMA} run report to {}",
-                path.display()
-            ),
-            Err(e) => eprintln!("{name}: run report write failed: {e}"),
-        }
-    }
+/// Finish collecting: [`run_report`], then stop the collection.
+pub fn take_run_report(name: &str) -> Option<RunReport> {
+    let report = run_report(name)?;
+    ACTIVE.store(false, Ordering::Relaxed);
+    lock_rows().clear();
+    Some(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::FlightRecorder;
     use pmcf_pram::Cost;
 
     /// The collector is process-global; tests touching it must not

@@ -1,4 +1,4 @@
-//! Chrome trace-event exporter (`PMCF_TRACE`).
+//! Chrome trace-event exporter.
 //!
 //! Turns the rayon shim's wall-clock pool telemetry — per-thread busy
 //! slices, fork/join/steal counters — plus the wall-clock slice of every
@@ -6,10 +6,10 @@
 //! trace-event JSON file that loads directly in Perfetto
 //! (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
-//! Set `PMCF_TRACE=1` (default path `pmcf-trace.json`) or
-//! `PMCF_TRACE=<path>` before running an instrumented binary. The bench
-//! bins call [`trace_init_from_env`] at startup and [`trace_finish`] on
-//! exit. Library code needs no trace-specific call: the span guard
+//! A `PMCF_REPORT=<path>` session ([`crate::init_from_env`]) opens the
+//! trace with [`trace_start`], and [`crate::finish`] writes the document
+//! [`trace_finish`] renders to `<path>.trace.json` (the extension
+//! replaced). Library code needs no trace-specific call: the span guard
 //! records its own slice while a session is open
 //! ([`pmcf_pram::annotation`]), and costs one relaxed atomic load when
 //! none is.
@@ -36,84 +36,30 @@
 //! that keep nanosecond precision. `otherData.schema` marks the file as
 //! ours for the CI smoke check; Perfetto ignores unknown keys.
 
-use std::sync::Mutex;
-
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
 use pmcf_pram::annotation::{self, Annotation};
 use rayon::telemetry::{self, PoolTelemetry};
 
-/// Environment variable that switches the trace exporter on.
-pub const TRACE_ENV: &str = "PMCF_TRACE";
-/// Path written when `PMCF_TRACE` is merely truthy rather than a path.
-pub const DEFAULT_TRACE_PATH: &str = "pmcf-trace.json";
 /// Schema tag stored under `otherData.schema`.
 pub const TRACE_SCHEMA: &str = "pmcf.trace/v1";
 
-/// Output path captured by [`trace_start`].
-static TRACE_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-fn trace_path() -> std::sync::MutexGuard<'static, Option<String>> {
-    TRACE_PATH.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Resolve `PMCF_TRACE` to an output path: unset/`0`/`false`/`off` →
-/// `None`; `1`/`true`/`on` → [`DEFAULT_TRACE_PATH`]; anything else is
-/// taken as the path itself.
-pub fn trace_path_from_env() -> Option<String> {
-    let raw = std::env::var(TRACE_ENV).ok()?;
-    let v = raw.trim();
-    match v.to_ascii_lowercase().as_str() {
-        "" | "0" | "false" | "off" => None,
-        "1" | "true" | "on" => Some(DEFAULT_TRACE_PATH.to_string()),
-        _ => Some(v.to_string()),
-    }
-}
-
-/// Start a trace session manually (used by tests; binaries use
-/// [`trace_init_from_env`]). Discards earlier span slices and resets
-/// the pool's slice buffer so the trace covers exactly one run.
-pub fn trace_start(path: Option<String>) {
+/// Start a trace session: discard earlier span slices and reset the
+/// pool's slice buffer so the trace covers exactly one run.
+pub fn trace_start() {
     telemetry::reset();
     telemetry::set_recording(true);
-    *trace_path() = path;
     annotation::start();
 }
 
-/// Start tracing if `PMCF_TRACE` requests it; returns whether tracing
-/// is now active.
-pub fn trace_init_from_env() -> bool {
-    match trace_path_from_env() {
-        Some(path) => {
-            trace_start(Some(path));
-            true
-        }
-        None => false,
-    }
-}
-
-/// Stop tracing, render the trace, and write it to the path captured at
-/// init (if any). Returns the trace document when tracing was active.
+/// Stop tracing and render the trace. Returns the trace document when
+/// tracing was active.
 pub fn trace_finish() -> Option<JsonValue> {
     if !annotation::annotating() {
         return None;
     }
     let (spans, dropped) = annotation::finish();
     telemetry::set_recording(false);
-    let pool = telemetry::snapshot();
-    let path = trace_path().take();
-    let doc = render_trace(&pool, &spans, dropped);
-    if let Some(path) = path {
-        match json::write_file(path.as_ref(), &doc) {
-            Ok(()) => eprintln!(
-                "[pmcf-obs] wrote trace: {} ({} pool slices, {} annotations)",
-                path,
-                pool.slices.len(),
-                spans.len()
-            ),
-            Err(e) => eprintln!("[pmcf-obs] failed to write trace {path}: {e}"),
-        }
-    }
-    Some(doc)
+    Some(render_trace(&telemetry::snapshot(), &spans, dropped))
 }
 
 /// Microseconds for a nanosecond timestamp: an integer when exact, a
@@ -199,7 +145,9 @@ pub fn render_trace(pool: &PoolTelemetry, spans: &[Annotation], dropped_spans: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use pmcf_pram::Tracker;
+    use std::sync::Mutex;
 
     /// Tracing state is process-global; serialize tests that flip it.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -262,7 +210,7 @@ mod tests {
     #[test]
     fn trace_round_trips_through_json_reader() {
         let _g = lock();
-        trace_start(None);
+        trace_start();
         // A plain tracker: no profiler is needed for slices.
         let mut t = Tracker::new();
         t.span("ipm/loop", |t| t.span("ipm/newton", |_| ()));
@@ -278,7 +226,7 @@ mod tests {
     #[test]
     fn spans_in_par_join_branches_are_recorded() {
         let _g = lock();
-        trace_start(None);
+        trace_start();
         let mut t = Tracker::new();
         t.span("outer", |t| {
             t.par_join(
@@ -289,29 +237,6 @@ mod tests {
         let names = span_names(&trace_finish().expect("tracing was active"));
         for want in ["outer", "branch/left", "branch/right"] {
             assert!(names.iter().any(|n| n == want), "{want} missing");
-        }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        // trace_path_from_env reads the real environment, so test the
-        // mapping through a copy of its match logic via trace_start paths.
-        for (val, want) in [
-            ("1", Some(DEFAULT_TRACE_PATH.to_string())),
-            ("true", Some(DEFAULT_TRACE_PATH.to_string())),
-            ("on", Some(DEFAULT_TRACE_PATH.to_string())),
-            ("0", None),
-            ("false", None),
-            ("off", None),
-            ("", None),
-            ("out/custom.json", Some("out/custom.json".to_string())),
-        ] {
-            let got = match val.trim().to_ascii_lowercase().as_str() {
-                "" | "0" | "false" | "off" => None,
-                "1" | "true" | "on" => Some(DEFAULT_TRACE_PATH.to_string()),
-                _ => Some(val.trim().to_string()),
-            };
-            assert_eq!(got, want, "value {val:?}");
         }
     }
 

@@ -36,18 +36,14 @@
 //! this identity for `Sequential` and `Forked` execution and under
 //! nested `par_join`.
 //!
-//! Like profiling, the ledger is strictly opt-in (`PMCF_CRITPATH=1` via
-//! [`crate::profile::tracker_from_env`], or
-//! [`Tracker::with_critpath`](crate::Tracker::with_critpath) in code)
-//! and never changes charged totals — it only watches them. Reports
-//! render as a markdown top-K table (`pmcf-obs` renders them as
-//! `pmcf.critpath/v1` JSON for bench artifacts).
+//! Like profiling, the ledger is strictly opt-in
+//! ([`Tracker::with_critpath`](crate::Tracker::with_critpath); a
+//! `PMCF_REPORT` session's `pmcf_obs::tracker()` carries one) and never
+//! changes charged totals — it only watches them. Reports render as a
+//! markdown top-K table (`pmcf-obs` renders them as `pmcf.critpath/v1`
+//! JSON for bench artifacts).
 
 use std::collections::BTreeMap;
-
-/// Environment variable that switches the depth ledger on (truthy values
-/// `1`, `true`, `on`), mirroring `PMCF_PROFILE`.
-pub const CRITPATH_ENV: &str = "PMCF_CRITPATH";
 
 /// Separator between nested span names in a ledger path. Span names
 /// themselves may contain `/` (e.g. `ipm/newton`), so nesting uses a
@@ -56,14 +52,6 @@ pub const PATH_SEP: &str = " > ";
 
 /// Display name for depth charged outside any span.
 pub const UNATTRIBUTED: &str = "(unattributed)";
-
-/// Whether `PMCF_CRITPATH` is set to a truthy value.
-pub fn critpath_requested() -> bool {
-    matches!(
-        std::env::var(CRITPATH_ENV).ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
 
 /// Per-tracker critical-path state: a map from span path to the depth
 /// attributed there, plus the open-span path this tracker is currently

@@ -33,7 +33,7 @@ pub mod workspace;
 
 pub use cost::Cost;
 pub use critpath::{CritPathEntry, CritPathReport};
-pub use primitives::seq_cutoff;
+pub use primitives::SEQ_CUTOFF;
 pub use tracker::{ParMode, SpanGuard, Tracker};
 pub use workspace::Workspace;
 

@@ -8,29 +8,12 @@
 
 use crate::{Cost, Tracker};
 use rayon::prelude::*;
-use std::sync::OnceLock;
-
-/// Environment variable overriding the sequential-fallback threshold.
-pub const SEQ_CUTOFF_ENV: &str = "PMCF_SEQ_CUTOFF";
-
-/// Default sequential-fallback threshold (inputs below it skip the pool).
-pub const SEQ_CUTOFF_DEFAULT: usize = 2048;
 
 /// The workspace-wide sequential-fallback threshold: inputs shorter than
 /// this run sequentially because fork overhead would dominate (the
-/// charged model cost is unchanged either way). One tunable for every
-/// crate — `pmcf-graph`'s incidence kernels read it too — overridable
-/// with `PMCF_SEQ_CUTOFF=<n>` (read once, cached for the process).
-#[inline]
-pub fn seq_cutoff() -> usize {
-    static CUTOFF: OnceLock<usize> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        std::env::var(SEQ_CUTOFF_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(SEQ_CUTOFF_DEFAULT)
-    })
-}
+/// charged model cost is unchanged either way). `pmcf-graph`'s incidence
+/// kernels use it too.
+pub const SEQ_CUTOFF: usize = 2048;
 
 /// Parallel map: `out[i] = f(&xs[i])`. Work `n`, depth `log n + 1`.
 pub fn par_map<T: Sync, U: Send>(
@@ -39,7 +22,7 @@ pub fn par_map<T: Sync, U: Send>(
     f: impl Fn(&T) -> U + Sync + Send,
 ) -> Vec<U> {
     t.charge_par_flat(xs.len() as u64);
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.iter().map(f).collect()
     } else {
         xs.par_iter().map(f).collect()
@@ -53,7 +36,7 @@ pub fn par_map_idx<T: Sync, U: Send>(
     f: impl Fn(usize, &T) -> U + Sync + Send,
 ) -> Vec<U> {
     t.charge_par_flat(xs.len() as u64);
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.iter().enumerate().map(|(i, x)| f(i, x)).collect()
     } else {
         xs.par_iter().enumerate().map(|(i, x)| f(i, x)).collect()
@@ -67,7 +50,7 @@ pub fn par_update<T: Send + Sync + Copy>(
     f: impl Fn(usize, T) -> T + Sync + Send,
 ) {
     t.charge_par_flat(xs.len() as u64);
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         for (i, x) in xs.iter_mut().enumerate() {
             *x = f(i, *x);
         }
@@ -87,7 +70,7 @@ pub fn par_reduce<T: Sync, U: Send + Sync + Copy>(
     combine: impl Fn(U, U) -> U + Sync + Send,
 ) -> U {
     t.charge(Cost::reduce(xs.len() as u64));
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.iter().map(map).fold(identity, &combine)
     } else {
         xs.par_iter().map(map).reduce(|| identity, &combine)
@@ -110,7 +93,7 @@ pub fn par_max(t: &mut Tracker, xs: &[f64]) -> f64 {
 /// `prefix[i] = Σ_{j<i} xs[j]`. Work `2n`, depth `2 log n + 1`.
 pub fn par_exclusive_scan(t: &mut Tracker, xs: &[u64]) -> (Vec<u64>, u64) {
     t.charge(Cost::scan(xs.len() as u64));
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         let mut out = Vec::with_capacity(xs.len());
         let mut acc = 0u64;
         for &x in xs {
@@ -152,7 +135,7 @@ pub fn par_filter<T: Sync + Send + Clone>(
 ) -> Vec<T> {
     // flag pass + scan + scatter
     t.charge(Cost::par_flat(xs.len() as u64).seq(Cost::scan(xs.len() as u64)));
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.iter().filter(|x| keep(x)).cloned().collect()
     } else {
         xs.par_iter().filter(|x| keep(x)).cloned().collect()
@@ -162,7 +145,7 @@ pub fn par_filter<T: Sync + Send + Clone>(
 /// Parallel sort (unstable). Work `n log n`, depth `log² n`.
 pub fn par_sort<T: Send + Ord>(t: &mut Tracker, xs: &mut [T]) {
     t.charge(Cost::sort(xs.len() as u64));
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.sort_unstable();
     } else {
         xs.par_sort_unstable();
@@ -176,7 +159,7 @@ pub fn par_sort_by_key<T: Send, K: Ord>(
     key: impl Fn(&T) -> K + Sync + Send,
 ) {
     t.charge(Cost::sort(xs.len() as u64));
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         xs.sort_unstable_by_key(key);
     } else {
         xs.par_sort_unstable_by_key(key);
@@ -187,7 +170,7 @@ pub fn par_sort_by_key<T: Send, K: Ord>(
 pub fn par_dot(t: &mut Tracker, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
     t.charge(Cost::par_flat(a.len() as u64).par(Cost::reduce(a.len() as u64)));
-    if a.len() < seq_cutoff() {
+    if a.len() < SEQ_CUTOFF {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     } else {
         a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum()
@@ -202,7 +185,7 @@ pub fn par_tabulate<U: Send>(
     f: impl Fn(usize) -> U + Sync + Send,
 ) -> Vec<U> {
     t.charge_par_flat(n as u64);
-    if n < seq_cutoff() {
+    if n < SEQ_CUTOFF {
         (0..n).map(f).collect()
     } else {
         (0..n).into_par_iter().map(f).collect()
@@ -214,7 +197,7 @@ pub fn par_tabulate<U: Send>(
 pub fn par_hadamard(t: &mut Tracker, a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "hadamard of mismatched lengths");
     t.charge_par_flat(a.len() as u64);
-    if a.len() < seq_cutoff() {
+    if a.len() < SEQ_CUTOFF {
         a.iter().zip(b).map(|(x, y)| x * y).collect()
     } else {
         a.par_iter()
@@ -229,7 +212,7 @@ pub fn par_hadamard(t: &mut Tracker, a: &[f64], b: &[f64]) -> Vec<f64> {
 pub fn par_xpay(t: &mut Tracker, x: &[f64], alpha: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "xpay of mismatched lengths");
     t.charge_par_flat(x.len() as u64);
-    if x.len() < seq_cutoff() {
+    if x.len() < SEQ_CUTOFF {
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi = xi + alpha * *yi;
         }
@@ -244,7 +227,7 @@ pub fn par_xpay(t: &mut Tracker, x: &[f64], alpha: f64, y: &mut [f64]) {
 pub fn par_axpy(t: &mut Tracker, alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy of mismatched lengths");
     t.charge_par_flat(x.len() as u64);
-    if x.len() < seq_cutoff() {
+    if x.len() < SEQ_CUTOFF {
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
         }
@@ -265,7 +248,7 @@ pub fn par_map_into<T: Sync, U: Send>(
 ) {
     assert_eq!(xs.len(), out.len(), "map_into of mismatched lengths");
     t.charge_par_flat(xs.len() as u64);
-    if xs.len() < seq_cutoff() {
+    if xs.len() < SEQ_CUTOFF {
         for (o, x) in out.iter_mut().zip(xs) {
             *o = f(x);
         }
@@ -284,7 +267,7 @@ pub fn par_tabulate_into<U: Send>(
     f: impl Fn(usize) -> U + Sync + Send,
 ) {
     t.charge_par_flat(out.len() as u64);
-    if out.len() < seq_cutoff() {
+    if out.len() < SEQ_CUTOFF {
         for (i, o) in out.iter_mut().enumerate() {
             *o = f(i);
         }
@@ -299,7 +282,7 @@ pub fn par_hadamard_into(t: &mut Tracker, a: &[f64], b: &[f64], out: &mut [f64])
     assert_eq!(a.len(), b.len(), "hadamard of mismatched lengths");
     assert_eq!(a.len(), out.len(), "hadamard_into output length");
     t.charge_par_flat(a.len() as u64);
-    if a.len() < seq_cutoff() {
+    if a.len() < SEQ_CUTOFF {
         for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
             *o = x * y;
         }
@@ -314,7 +297,7 @@ pub fn par_hadamard_into(t: &mut Tracker, a: &[f64], b: &[f64], out: &mut [f64])
 /// `y ← alpha * y`, elementwise in place. Work `n`, depth `log n + 1`.
 pub fn par_scale(t: &mut Tracker, alpha: f64, y: &mut [f64]) {
     t.charge_par_flat(y.len() as u64);
-    if y.len() < seq_cutoff() {
+    if y.len() < SEQ_CUTOFF {
         for yi in y.iter_mut() {
             *yi *= alpha;
         }
@@ -334,7 +317,7 @@ pub fn par_axpy_norm2(t: &mut Tracker, alpha: f64, x: &[f64], y: &mut [f64]) -> 
     let n = y.len() as u64;
     t.charge_par_flat(n);
     t.charge(Cost::par_flat(n).par(Cost::reduce(n)));
-    if y.len() < seq_cutoff() {
+    if y.len() < SEQ_CUTOFF {
         let mut acc = 0.0;
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
@@ -361,7 +344,7 @@ pub fn par_hadamard_dot(t: &mut Tracker, a: &[f64], b: &[f64], out: &mut [f64]) 
     let n = a.len() as u64;
     t.charge_par_flat(n);
     t.charge(Cost::par_flat(n).par(Cost::reduce(n)));
-    if a.len() < seq_cutoff() {
+    if a.len() < SEQ_CUTOFF {
         let mut acc = 0.0;
         for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
             *o = x * y;

@@ -25,9 +25,10 @@
 //! [`Tracker::new`](crate::Tracker::new) or
 //! [`Tracker::disabled`](crate::Tracker::disabled) carries no profiler,
 //! and every span/metric call on it is a direct pass-through with no
-//! allocation — wall-clock benches pay nothing. Opt in explicitly with
-//! [`Tracker::profiled`](crate::Tracker::profiled) or from the
-//! environment with [`tracker_from_env`] (`PMCF_PROFILE=1`).
+//! allocation — wall-clock benches pay nothing. Opt in with
+//! [`Tracker::profiled`](crate::Tracker::profiled); the bench bins get
+//! profiled trackers from `pmcf_obs::tracker()` while a `PMCF_REPORT`
+//! session is open.
 //!
 //! Span nesting is tracked through the tracker's fork/join plumbing, so
 //! spans opened inside [`Tracker::join`](crate::Tracker::join) /
@@ -41,51 +42,6 @@ use crate::Cost;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Environment variable that switches profiled trackers on.
-pub const PROFILE_ENV: &str = "PMCF_PROFILE";
-
-/// Environment variable naming a unified run-report output path. The
-/// report itself is assembled by `pmcf-obs` (which sits above this
-/// crate); the variable is recognized here so [`tracker_from_env`] can
-/// switch the profiler and depth ledger on for report runs without a
-/// dependency cycle.
-pub const REPORT_ENV: &str = "PMCF_REPORT";
-
-/// Whether `PMCF_REPORT` names a (non-empty) output path.
-pub fn report_requested() -> bool {
-    std::env::var_os(REPORT_ENV)
-        .map(|v| !v.is_empty())
-        .unwrap_or(false)
-}
-
-/// `Tracker::profiled()` if `PMCF_PROFILE=1` in the environment, else a
-/// plain (profiler-free) tracker. Independently, `PMCF_CRITPATH=1`
-/// attaches a critical-path depth ledger (see [`crate::critpath`]) —
-/// the two gates compose. `PMCF_REPORT=<path>` implies both: a unified
-/// run report embeds the span tree and the critical path, so a report
-/// run must collect them.
-pub fn tracker_from_env() -> crate::Tracker {
-    let report = report_requested();
-    let t = if profiling_requested() || report {
-        crate::Tracker::profiled()
-    } else {
-        crate::Tracker::new()
-    };
-    if crate::critpath::critpath_requested() || report {
-        t.with_critpath()
-    } else {
-        t
-    }
-}
-
-/// Whether `PMCF_PROFILE` is set to a truthy value (`1`, `true`, `on`).
-pub fn profiling_requested() -> bool {
-    matches!(
-        std::env::var(PROFILE_ENV).ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
 
 /// One node of the span tree (interior accumulator).
 #[derive(Clone, Debug, Default)]

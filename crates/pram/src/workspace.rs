@@ -8,7 +8,7 @@
 //! allocator (`pmcf.alloc.fresh`), everything after is a pop off the
 //! free list (`pmcf.alloc.reuse`). Both counters feed the metrics
 //! registry of the supplied [`Tracker`], so reuse is observable in any
-//! profiled run (`PMCF_PROFILE=1`).
+//! profiled run (a `PMCF_REPORT` session profiles every bench tracker).
 //!
 //! Ownership discipline makes aliasing impossible by construction: a
 //! checkout *moves* a `Vec<f64>` out of the pool and a checkin moves it

@@ -5,7 +5,8 @@
 //! the threads *really* do": per-thread busy/idle timelines, fork/join
 //! and steal counters, and the imbalance between the busiest and the
 //! average worker. The data feeds `pmcf-obs`'s Chrome trace-event
-//! exporter (`PMCF_TRACE=1` → a Perfetto-loadable timeline).
+//! exporter (a `PMCF_REPORT=<path>` run writes the Perfetto-loadable
+//! timeline to `<path>.trace.json`).
 //!
 //! Two cost tiers:
 //!
