@@ -6,7 +6,7 @@ use crate::reference::{self, PathFollowConfig, PathStats};
 use crate::robust;
 use crate::rounding;
 use pmcf_graph::{DiGraph, Flow, McfProblem};
-use pmcf_pram::Tracker;
+use pmcf_pram::{Tracker, Workspace};
 
 /// Which IPM engine to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -160,135 +160,124 @@ pub fn solve_mcf(
     p: &McfProblem,
     cfg: &SolverConfig,
 ) -> Result<McfSolution, McfError> {
-    solve_mcf_inner(t, p, cfg, None)
+    solve(t, p, cfg, Start::Cold).map(|(sol, _)| sol)
 }
 
-/// Terminal central-path point of a solve, mapped back to the original
-/// edge/vertex numbering — the warm-start material a
-/// [`crate::resolve::McfCheckpoint`] carries between solves.
+/// Where a solve starts on the central path.
+pub(crate) enum Start<'a> {
+    /// The big-M extension's box-centre point with `y = 0` (App. F).
+    Cold,
+    /// A previous terminal point, repaired to satisfy `Aᵀx = b` on the
+    /// current instance, and the checkpoint's buffer arena.
+    Warm {
+        /// Fractional primal point, one entry per edge.
+        x: Vec<f64>,
+        /// Dual potentials, one entry per vertex.
+        y: Vec<f64>,
+        /// Arena the engine runs against instead of a private one.
+        ws: &'a Workspace,
+    },
+}
+
+/// Terminal central-path point of a solve — the warm-start material a
+/// [`crate::resolve::McfCheckpoint`] carries between solves. The driver
+/// returns it in the original numbering; per component it is in the
+/// component's numbering.
 #[derive(Clone, Debug)]
 pub(crate) struct WarmState {
-    /// Final fractional primal iterate on the original edge list
-    /// (length `m`; stripped edges carry `0`).
+    /// Final fractional primal iterate, one entry per edge (stripped
+    /// edges carry `0`).
     pub x_frac: Vec<f64>,
-    /// Final dual potentials (length `n`; defined per component up to an
-    /// additive shift, which `s = c − Ay` is invariant to).
+    /// Final dual potentials, one entry per vertex (defined per component
+    /// up to an additive shift, which `s = c − Ay` is invariant to).
     pub y: Vec<f64>,
 }
 
-/// [`solve_mcf`] that additionally captures the terminal central-path
-/// point for warm-started re-solves.
-pub(crate) fn solve_mcf_captured(
+/// The solve pipeline of Theorem 1.2: validate, strip zero-capacity
+/// edges and self loops, split into connected components (the Laplacian
+/// needs connectivity), solve each component from `start` and round it,
+/// then assemble the answer and the terminal point a checkpoint keeps.
+pub(crate) fn solve(
     t: &mut Tracker,
     p: &McfProblem,
     cfg: &SolverConfig,
+    start: Start<'_>,
 ) -> Result<(McfSolution, WarmState), McfError> {
-    let mut warm = WarmState {
-        x_frac: vec![0.0; p.m()],
-        y: vec![0.0; p.n()],
-    };
-    let sol = solve_mcf_inner(t, p, cfg, Some(&mut warm))?;
-    Ok((sol, warm))
-}
-
-fn solve_mcf_inner(
-    t: &mut Tracker,
-    p: &McfProblem,
-    cfg: &SolverConfig,
-    mut warm_out: Option<&mut WarmState>,
-) -> Result<McfSolution, McfError> {
     validate_instance(p)?;
-    // 1. sanitize: strip zero-capacity edges and self loops
-    let mut keep: Vec<usize> = Vec::new();
-    for (e, &(u, v)) in p.graph.edges().iter().enumerate() {
-        if p.cap[e] > 0 && u != v {
-            keep.push(e);
-        }
-    }
-    let stripped = keep.len() != p.m();
-    let sp; // sanitized problem
-    let work = if stripped {
-        let edges: Vec<(usize, usize)> = keep.iter().map(|&e| p.graph.endpoints(e)).collect();
-        sp = McfProblem::new(
-            DiGraph::from_edges(p.n(), edges),
-            keep.iter().map(|&e| p.cap[e]).collect(),
-            keep.iter().map(|&e| p.cost[e]).collect(),
-            p.demand.clone(),
-        );
-        &sp
-    } else {
-        p
-    };
-
-    // 2. per-component solve (the Laplacian needs connectivity)
-    let ug = pmcf_graph::UGraph::from_edges(work.n(), work.graph.edges().to_vec());
+    let (n, m) = (p.n(), p.m());
+    let keep: Vec<usize> = (0..m)
+        .filter(|&e| {
+            let (u, v) = p.graph.endpoints(e);
+            p.cap[e] > 0 && u != v
+        })
+        .collect();
+    let ug =
+        pmcf_graph::UGraph::from_edges(n, keep.iter().map(|&e| p.graph.endpoints(e)).collect());
     let (comp, ncomp) = ug.components();
-    let mut x_all = vec![0i64; work.m()];
-    let mut stats_total = PathStats::default();
-    for c in 0..ncomp {
-        let verts: Vec<usize> = (0..work.n()).filter(|&v| comp[v] == c).collect();
+    let mut verts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
+    let mut local_of = vec![0; n];
+    for (v, &c) in comp.iter().enumerate() {
+        local_of[v] = verts[c].len();
+        verts[c].push(v);
+    }
+    let mut comp_edges: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
+    for &e in &keep {
+        comp_edges[comp[p.graph.endpoints(e).0]].push(e);
+    }
+
+    let mut x_all = vec![0i64; m];
+    let mut stats = PathStats::default();
+    let mut point = WarmState {
+        x_frac: vec![0.0; m],
+        y: vec![0.0; n],
+    };
+    for (verts, edges) in verts.iter().zip(&comp_edges) {
         if verts.len() == 1 {
             // isolated vertex: feasible iff zero demand
-            if work.demand[verts[0]] != 0 {
+            if p.demand[verts[0]] != 0 {
                 return Err(McfError::Infeasible);
             }
             continue;
         }
         // demands must balance within the component
-        let bal: i64 = verts.iter().map(|&v| work.demand[v]).sum();
-        if bal != 0 {
+        if verts.iter().map(|&v| p.demand[v]).sum::<i64>() != 0 {
             return Err(McfError::Infeasible);
         }
-        let mut local_of = vec![usize::MAX; work.n()];
-        for (i, &v) in verts.iter().enumerate() {
-            local_of[v] = i;
-        }
-        let mut edges = Vec::new();
-        let mut cap = Vec::new();
-        let mut cost = Vec::new();
-        let mut orig = Vec::new();
-        for (e, &(u, v)) in work.graph.edges().iter().enumerate() {
-            if comp[u] == c {
-                edges.push((local_of[u], local_of[v]));
-                cap.push(work.cap[e]);
-                cost.push(work.cost[e]);
-                orig.push(e);
-            }
-        }
-        let demand: Vec<i64> = verts.iter().map(|&v| work.demand[v]).collect();
-        let lp = McfProblem::new(DiGraph::from_edges(verts.len(), edges), cap, cost, demand);
-        let (x_local, st, wl) = solve_connected(t, &lp, cfg)?;
-        for (le, &e) in orig.iter().enumerate() {
+        let lp = McfProblem::new(
+            DiGraph::from_edges(
+                verts.len(),
+                edges
+                    .iter()
+                    .map(|&e| {
+                        let (u, v) = p.graph.endpoints(e);
+                        (local_of[u], local_of[v])
+                    })
+                    .collect(),
+            ),
+            edges.iter().map(|&e| p.cap[e]).collect(),
+            edges.iter().map(|&e| p.cost[e]).collect(),
+            verts.iter().map(|&v| p.demand[v]).collect(),
+        );
+        let local_start = match &start {
+            Start::Cold => Start::Cold,
+            Start::Warm { x, y, ws } => Start::Warm {
+                x: edges.iter().map(|&e| x[e]).collect(),
+                y: verts.iter().map(|&v| y[v]).collect(),
+                ws,
+            },
+        };
+        let (x_local, st, local) = solve_component(t, &lp, cfg, local_start)?;
+        for (le, &e) in edges.iter().enumerate() {
             x_all[e] = x_local[le];
+            point.x_frac[e] = local.x_frac[le];
         }
-        if let Some(w) = warm_out.as_deref_mut() {
-            // vertices keep their original ids through sanitization, and
-            // `keep` maps sanitized edge slots back to original ones
-            for (i, &v) in verts.iter().enumerate() {
-                w.y[v] = wl.y[i];
-            }
-            for (le, &e) in orig.iter().enumerate() {
-                let orig_e = if stripped { keep[e] } else { e };
-                w.x_frac[orig_e] = wl.x_frac[le];
-            }
+        for (i, &v) in verts.iter().enumerate() {
+            point.y[v] = local.y[i];
         }
-        stats_total.iterations += st.iterations;
-        stats_total.newton_steps += st.newton_steps;
-        stats_total.cg_iterations += st.cg_iterations;
-        stats_total.final_mu = st.final_mu;
-        stats_total.final_centrality = stats_total.final_centrality.max(st.final_centrality);
+        stats.merge(&st);
     }
 
-    // 3. map back to the original edge list
-    let flow = if stripped {
-        let mut x = vec![0i64; p.m()];
-        for (i, &e) in keep.iter().enumerate() {
-            x[e] = x_all[i];
-        }
-        Flow { x }
-    } else {
-        Flow { x: x_all }
-    };
+    let flow = Flow { x: x_all };
     if !flow.is_feasible(p) {
         return Err(McfError::numerical(
             "assembled per-component optimum violates feasibility",
@@ -297,89 +286,92 @@ fn solve_mcf_inner(
     let cost = flow
         .try_cost(p)
         .ok_or_else(|| McfError::overflow("optimal cost cᵀx overflows i64"))?;
-    Ok(McfSolution {
-        flow,
-        cost,
-        stats: stats_total,
-    })
+    Ok((McfSolution { flow, cost, stats }, point))
 }
 
-/// Terminal central-path point of one connected solve, in the local
-/// (component) numbering.
-pub(crate) struct WarmLocal {
-    pub(crate) x_frac: Vec<f64>,
-    pub(crate) y: Vec<f64>,
-}
-
-/// Solve a connected instance by the configured engine.
-pub(crate) fn solve_connected(
+/// Solve one connected component (at least one edge) from `start`: path
+/// following by the configured engine, then exact rounding. A cold start
+/// runs on the big-M extension; a warm start runs on the component
+/// itself, whose repaired point is already feasible, and falls back to a
+/// cold start when it ends outside the ε-centered ball.
+fn solve_component(
     t: &mut Tracker,
     p: &McfProblem,
     cfg: &SolverConfig,
-) -> Result<(Vec<i64>, PathStats, WarmLocal), McfError> {
-    if p.m() == 0 {
-        return if p.demand.iter().all(|&b| b == 0) {
-            Ok((
-                Vec::new(),
-                PathStats::default(),
-                WarmLocal {
-                    x_frac: Vec::new(),
-                    y: vec![0.0; p.n()],
-                },
-            ))
-        } else {
-            Err(McfError::Infeasible)
-        };
-    }
-    let ext = init::extend(p)?;
-    let mu0 = init::initial_mu(&ext.prob, 0.25);
-    let mu_end = init::final_mu(&ext.prob);
-    let (state, stats) = match cfg.engine {
-        Engine::Reference => {
-            reference::path_follow(t, &ext.prob, ext.x0.clone(), mu0, mu_end, &cfg.path)
+    start: Start<'_>,
+) -> Result<(Vec<i64>, PathStats, WarmState), McfError> {
+    let ext;
+    let (prob, x0, warm) = match start {
+        Start::Cold => {
+            ext = init::extend(p)?;
+            (&ext.prob, ext.x0, None)
         }
-        Engine::Robust => robust::path_follow(t, &ext.prob, ext.x0.clone(), mu0, mu_end, &cfg.path),
+        Start::Warm { x, y, ws } => (p, x, Some((y, ws))),
     };
-    let rounded = rounding::round_to_optimal(&ext.prob, &state.x)?;
+    let mu_end = init::final_mu(prob);
+    let mu0 = match &warm {
+        None => init::initial_mu(prob, 0.25),
+        Some((y, _)) => crate::resolve::warm_mu(t, prob, &x0, y, mu_end),
+    };
+    let is_warm = warm.is_some();
+    let (state, stats) = match cfg.engine {
+        Engine::Reference => reference::follow(t, prob, x0, warm, mu0, mu_end, &cfg.path),
+        Engine::Robust => robust::follow(t, prob, x0, warm, mu0, mu_end, &cfg.path),
+    };
+    // A warm run that terminates outside the ε-centered ball cannot be
+    // trusted (degenerate components whose feasible set has empty strict
+    // interior have no central path at all without the big-M extension,
+    // and no amount of recentering reaches one). Solve the component
+    // again from a cold start, whose extension always carries the
+    // auxiliary slack; its terminal fields replace the warm run's.
+    if is_warm && (stats.final_centrality > 1.0 || stats.final_centrality.is_nan()) {
+        t.counter("resolve.warm_fallbacks", 1);
+        pmcf_obs::emit_with("resolve.warm_fallback", || {
+            vec![
+                ("centrality", stats.final_centrality.into()),
+                ("m", p.m().into()),
+            ]
+        });
+        let (x, cold, point) = solve_component(t, p, cfg, Start::Cold)?;
+        // the warm run's work stays counted; its terminal point does not
+        let mut total = PathStats {
+            final_centrality: 0.0,
+            ..stats
+        };
+        total.merge(&cold);
+        return Ok((x, total, point));
+    }
+    let mut x = rounding::round_to_optimal(prob, &state.x)?.x;
     // feasible original instance ⇒ big-M drives aux flow to zero
-    if rounded.x[ext.m_orig..].iter().any(|&x| x != 0) {
+    if x[p.m()..].iter().any(|&xe| xe != 0) {
         return Err(McfError::Infeasible); // demands not satisfiable without auxiliary edges
     }
-    // aux coordinates are dropped from the warm point: the terminal aux
-    // flows are ≈ 0 and the aux vertex does not survive the resolve
-    let warm = WarmLocal {
-        x_frac: state.x[..ext.m_orig].to_vec(),
-        y: state.y[..p.n()].to_vec(),
+    x.truncate(p.m());
+    // aux coordinates are dropped from the terminal point: the aux flows
+    // are ≈ 0 and the aux vertex does not survive into a resolve
+    let mut point = WarmState {
+        x_frac: state.x,
+        y: state.y,
     };
-    Ok((rounded.x[..ext.m_orig].to_vec(), stats, warm))
+    point.x_frac.truncate(p.m());
+    point.y.truncate(p.n());
+    Ok((x, stats, point))
 }
 
 /// [`solve_mcf`] that additionally returns an
 /// [`McfCheckpoint`](crate::resolve::McfCheckpoint) for incremental
-/// re-solves: subsequent [`resolve_mcf`] calls apply a
-/// [`ResolveDelta`](crate::resolve::ResolveDelta) through the dynamic
-/// expander decomposition and warm-start the IPM from this solve's
-/// terminal central-path point. The checkpoint is returned even when the
-/// solve fails (the first resolve then falls back to a fresh solve).
+/// re-solves: each [`McfCheckpoint::resolve`](crate::resolve::McfCheckpoint::resolve)
+/// applies a [`ResolveDelta`](crate::resolve::ResolveDelta) through the
+/// dynamic expander decomposition and warm-starts the IPM from the
+/// previous solve's terminal central-path point. The checkpoint is
+/// returned even when the solve fails (the first resolve then falls back
+/// to a fresh solve).
 pub fn solve_mcf_checkpointed(
     t: &mut Tracker,
     p: &McfProblem,
     cfg: &SolverConfig,
 ) -> (crate::resolve::McfCheckpoint, Result<McfSolution, McfError>) {
     crate::resolve::McfCheckpoint::new(t, p, cfg)
-}
-
-/// Apply a batch of edge insertions/deletions and cost/capacity changes
-/// to a checkpointed instance and re-solve incrementally. Same typed
-/// error surface and same exact objective as a fresh [`solve_mcf`] on
-/// the mutated instance; see [`crate::resolve`] for the warm-start
-/// mechanics and the work-ratio expectations.
-pub fn resolve_mcf(
-    t: &mut Tracker,
-    ck: &mut crate::resolve::McfCheckpoint,
-    delta: &crate::resolve::ResolveDelta,
-) -> Result<McfSolution, McfError> {
-    ck.resolve(t, delta)
 }
 
 /// Exact minimum-cost *maximum* s-t flow (Theorem 1.2's statement).
@@ -475,6 +467,42 @@ mod tests {
             let sol = solve_mcf(&mut t, &p, &SolverConfig::default()).unwrap();
             assert!(sol.flow.is_feasible(&p), "seed {seed}");
             assert_eq!(sol.cost, opt.cost(&p), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn solve_mcf_reports_the_engine_counters() {
+        // connected, capacities ≥ 1, no self loops: nothing is stripped
+        // and the one component is the instance, so the pipeline's engine
+        // run is exactly the direct call
+        let p = generators::random_mcf(12, 42, 8, 6, 1);
+        let ext = init::extend(&p).unwrap();
+        let (mu0, mu_end) = (init::initial_mu(&ext.prob, 0.25), init::final_mu(&ext.prob));
+        let counts = |s: &PathStats| {
+            (
+                s.iterations,
+                s.newton_steps,
+                s.cg_iterations,
+                s.sampled_coords,
+            )
+        };
+        for engine in [Engine::Reference, Engine::Robust] {
+            let cfg = SolverConfig {
+                engine,
+                ..Default::default()
+            };
+            let sol = solve_mcf(&mut Tracker::new(), &p, &cfg).unwrap();
+            let x0 = ext.x0.clone();
+            let mut t = Tracker::new();
+            let (_, direct) = match engine {
+                Engine::Reference => {
+                    reference::path_follow(&mut t, &ext.prob, x0, mu0, mu_end, &cfg.path)
+                }
+                Engine::Robust => {
+                    robust::path_follow(&mut t, &ext.prob, x0, mu0, mu_end, &cfg.path)
+                }
+            };
+            assert_eq!(counts(&sol.stats), counts(&direct), "{engine:?}");
         }
     }
 

@@ -124,7 +124,12 @@ pub fn initial_mu(p: &McfProblem, eps: f64) -> f64 {
 }
 
 /// The final path parameter: small enough that the duality gap is below
-/// `1/4`, so rounding recovers the exact integral optimum.
+/// `1/4`. The paper rounds the iterate directly at that gap, but small
+/// integer costs leave a whole optimal face and the path converges to
+/// its fractional centre, so the rounded point is usually still
+/// imbalanced. [`crate::rounding::round_to_optimal`]'s repair then costs
+/// about one full SSP solve; ROADMAP item 2 seeds it from the IPM's duals
+/// instead.
 pub fn final_mu(p: &McfProblem) -> f64 {
     // gap ≈ μ · Σ τ ≈ μ · 2n (Στ = Σσ + m·(n/m) ≤ 2n)
     1.0 / (16.0 * (p.n() as f64 + 1.0))
@@ -133,6 +138,7 @@ pub fn final_mu(p: &McfProblem) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{centrality, CentralPathState};
     use pmcf_graph::generators;
 
     #[test]
@@ -180,6 +186,24 @@ mod tests {
             .map(|(&c, &u)| c.unsigned_abs() as i64 * u)
             .sum();
         assert!(ext.big_m > 2 * max_gain);
+    }
+
+    #[test]
+    fn initial_point_is_centered_for_large_mu() {
+        // the construction promises ε-centering at μ₀ by design
+        let p = generators::random_mcf(9, 27, 5, 4, 3);
+        let ext = extend(&p).unwrap();
+        let (n, m) = (ext.prob.n(), ext.prob.m());
+        let st = CentralPathState {
+            x: ext.x0.clone(),
+            y: vec![0.0; n],
+            s: ext.prob.cost.iter().map(|&c| c as f64).collect(),
+            tau: vec![n as f64 / m as f64; m],
+            mu: initial_mu(&ext.prob, 0.25),
+        };
+        let cap: Vec<f64> = ext.prob.cap.iter().map(|&u| u as f64).collect();
+        let (_, worst) = centrality(&st, &cap);
+        assert!(worst <= 0.5, "initial centrality {worst}");
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 pub mod api;
 pub mod barrier;
-pub mod centered;
 pub mod corollaries;
 pub mod error;
 pub mod init;
@@ -38,8 +37,8 @@ pub mod robust;
 pub mod rounding;
 
 pub use api::{
-    max_flow, max_flow_with, min_cost_flow, resolve_mcf, solve_mcf, solve_mcf_checkpointed,
-    validate_instance, validate_max_flow_input, Engine, MaxFlowEngine, McfSolution, SolverConfig,
+    max_flow, max_flow_with, min_cost_flow, solve_mcf, solve_mcf_checkpointed, validate_instance,
+    validate_max_flow_input, Engine, MaxFlowEngine, McfSolution, SolverConfig,
 };
 pub use error::{McfError, SsspError};
 pub use resolve::{McfCheckpoint, NewEdge, ResolveDelta};

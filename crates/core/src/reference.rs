@@ -17,6 +17,7 @@
 //!   δ_x = D (A δ_y − r_d)
 //! ```
 
+use crate::api::Engine;
 use crate::barrier;
 use pmcf_graph::{incidence, McfProblem};
 use pmcf_linalg::leverage::estimate_leverage;
@@ -28,51 +29,6 @@ use pmcf_pram::{Cost, Tracker, Workspace};
 /// `Στ ≈ 2n`, a solve takes ≈ `(√(2n)/r)·ln(μ₀/μ_end)` outer iterations;
 /// the monitor flags a run exceeding `ENVELOPE_C` times that.
 pub const ENVELOPE_C: f64 = 3.0;
-
-/// Emit the `solve.start` event declaring the iteration envelope.
-pub(crate) fn emit_solve_start(
-    engine: &'static str,
-    n: usize,
-    m: usize,
-    mu0: f64,
-    mu_end: f64,
-    step_r: f64,
-    gamma: f64,
-) {
-    pmcf_obs::emit_with("solve.start", || {
-        vec![
-            ("engine", engine.into()),
-            ("n", n.into()),
-            ("m", m.into()),
-            ("mu0", mu0.into()),
-            ("mu_end", mu_end.into()),
-            ("step_r", step_r.into()),
-            ("gamma", gamma.into()),
-            ("envelope_c", ENVELOPE_C.into()),
-        ]
-    });
-}
-
-/// Emit the `solve.end` event (totals + the profiled span tree's
-/// top-level work when a profiler is attached, for the
-/// `tracker-reconciliation` monitor).
-pub(crate) fn emit_solve_end(engine: &'static str, t: &Tracker, stats: &PathStats) {
-    pmcf_obs::emit_with("solve.end", || {
-        let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
-            ("engine", engine.into()),
-            ("iterations", stats.iterations.into()),
-            ("work", t.work().into()),
-            ("depth", t.depth().into()),
-            ("final_mu", stats.final_mu.into()),
-            ("final_centrality", stats.final_centrality.into()),
-        ];
-        if let Some(report) = t.profile_report() {
-            let span_work: u64 = report.spans.iter().map(|s| s.work).sum();
-            fields.push(("span_work", span_work.into()));
-        }
-        fields
-    });
-}
 
 /// Centering tolerance: the `‖z‖_∞` target after correction.
 pub const CENTER_TOL: f64 = 0.25;
@@ -132,6 +88,20 @@ pub struct PathStats {
     pub sampled_coords: u64,
 }
 
+impl PathStats {
+    /// Fold in `later`, a run that followed the ones counted here: the
+    /// four counters add, `final_mu` is `later`'s and `final_centrality`
+    /// the larger of the two.
+    pub(crate) fn merge(&mut self, later: &PathStats) {
+        self.iterations += later.iterations;
+        self.newton_steps += later.newton_steps;
+        self.cg_iterations += later.cg_iterations;
+        self.sampled_coords += later.sampled_coords;
+        self.final_mu = later.final_mu;
+        self.final_centrality = self.final_centrality.max(later.final_centrality);
+    }
+}
+
 /// Internal state shared by engines.
 pub struct CentralPathState {
     /// Primal iterate (strictly interior).
@@ -165,21 +135,107 @@ pub fn centrality(st: &CentralPathState, cap: &[f64]) -> (Vec<f64>, f64) {
     (z, worst)
 }
 
-/// Warm-start material for a path-following run that resumes from a
-/// previous central-path point instead of the cold `y = 0, s = c`
-/// initialization (the incremental-resolve entry of [`crate::resolve`]).
-pub struct WarmInit<'a> {
-    /// Initial dual potentials (length `n`); `s = c − Ay` is derived.
-    pub y0: Vec<f64>,
-    /// External buffer arena to run the whole solve against (the
-    /// checkpoint's pool, reused across resolves); `None` allocates a
-    /// fresh one.
-    pub ws: Option<&'a Workspace>,
-    /// Engine label stamped on `solve.start`/`ipm.iter`/`solve.end`
-    /// events and the `pmcf.report/v1` convergence rows (e.g.
-    /// `"resolve-reference"`), so resolve iterations are tellable apart
-    /// from fresh ones in a run report.
-    pub label: &'static str,
+/// Start-up both engines share: `y` (zero, or the warm duals), `s = c − Ay`,
+/// `τ = 1`, the interior clamp, and the `solve.start` event declaring the
+/// iteration envelope. Returns the state and the run's label for events
+/// and `pmcf.report/v1` convergence rows: the engine's name, prefixed
+/// `resolve-` for a warm start so resolve iterations are tellable apart
+/// from fresh ones.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn begin(
+    t: &mut Tracker,
+    p: &McfProblem,
+    engine: Engine,
+    x0: Vec<f64>,
+    y0: Option<Vec<f64>>,
+    cap: &[f64],
+    mu0: f64,
+    mu_end: f64,
+) -> (CentralPathState, &'static str) {
+    let (n, m) = (p.n(), p.m());
+    let label = match (engine, y0.is_some()) {
+        (Engine::Reference, false) => "reference",
+        (Engine::Robust, false) => "robust",
+        (Engine::Reference, true) => "resolve-reference",
+        (Engine::Robust, true) => "resolve-robust",
+    };
+    let y = y0.unwrap_or_else(|| vec![0.0; n]);
+    debug_assert_eq!(y.len(), n);
+    let mut s = vec![0.0; m];
+    incidence::apply_a_into(t, &p.graph, &y, &mut s);
+    for (se, &ce) in s.iter_mut().zip(&p.cost) {
+        *se = ce as f64 - *se;
+    }
+    let mut st = CentralPathState {
+        x: x0,
+        y,
+        s,
+        tau: vec![1.0; m],
+        mu: mu0,
+    };
+    barrier::clamp_interior_soft(&mut st.x, cap, 1e-9);
+    pmcf_obs::emit_with("solve.start", || {
+        vec![
+            ("engine", label.into()),
+            ("n", n.into()),
+            ("m", m.into()),
+            ("mu0", mu0.into()),
+            ("mu_end", mu_end.into()),
+            ("step_r", STEP_R.into()),
+            ("gamma", CENTER_TOL.into()),
+            ("envelope_c", ENVELOPE_C.into()),
+        ]
+    });
+    (st, label)
+}
+
+/// Termination both engines share: record the terminal fields, declare
+/// the ε-centered ball of Definition F.1 (`‖z‖_∞ ≤ 1`) with
+/// `ipm.centered`, and emit `solve.end` (totals plus the profiled span
+/// tree's top-level work when a profiler is attached, for the
+/// `tracker-reconciliation` monitor). A warm run that missed the ball
+/// declares `ipm.uncentered` instead: the caller discards its point and
+/// falls back to a cold solve, whose own declaration then covers the
+/// instance. Cold runs always declare, so a genuinely uncentered cold
+/// termination stays a loud monitor failure.
+pub(crate) fn finish(
+    t: &Tracker,
+    label: &'static str,
+    warm: bool,
+    mu: f64,
+    worst: f64,
+    stats: &mut PathStats,
+) {
+    stats.final_centrality = worst;
+    stats.final_mu = mu;
+    if worst <= 1.0 || !warm {
+        pmcf_obs::emit_with("ipm.centered", || {
+            vec![
+                ("centrality", worst.into()),
+                ("limit", 1.0.into()),
+                ("phase", "final".into()),
+            ]
+        });
+    } else {
+        pmcf_obs::emit_with("ipm.uncentered", || {
+            vec![("centrality", worst.into()), ("mu", mu.into())]
+        });
+    }
+    pmcf_obs::emit_with("solve.end", || {
+        let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
+            ("engine", label.into()),
+            ("iterations", stats.iterations.into()),
+            ("work", t.work().into()),
+            ("depth", t.depth().into()),
+            ("final_mu", stats.final_mu.into()),
+            ("final_centrality", stats.final_centrality.into()),
+        ];
+        if let Some(report) = t.profile_report() {
+            let span_work: u64 = report.spans.iter().map(|s| s.work).sum();
+            fields.push(("span_work", span_work.into()));
+        }
+        fields
+    });
 }
 
 /// Run path following from `(x0, μ0)` down to `μ_end`; returns the final
@@ -192,30 +248,17 @@ pub fn path_follow(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg)
+    follow(t, p, x0, None, mu0, mu_end, cfg)
 }
 
-/// [`path_follow`] resuming from a warm `(x0, y0)` pair — the
-/// incremental-resolve path. The caller supplies the previous duals and
-/// (optionally) a long-lived [`Workspace`]; μ₀ is typically far below
-/// the cold start's.
-pub fn path_follow_warm(
+/// [`path_follow`] from either start: `warm` carries the previous duals
+/// and the checkpoint's long-lived [`Workspace`]; without it the run
+/// starts from `y = 0` with a private arena.
+pub(crate) fn follow(
     t: &mut Tracker,
     p: &McfProblem,
     x0: Vec<f64>,
-    warm: WarmInit<'_>,
-    mu0: f64,
-    mu_end: f64,
-    cfg: &PathFollowConfig,
-) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg)
-}
-
-fn path_follow_inner(
-    t: &mut Tracker,
-    p: &McfProblem,
-    x0: Vec<f64>,
-    warm: Option<WarmInit<'_>>,
+    warm: Option<(Vec<f64>, &Workspace)>,
     mu0: f64,
     mu_end: f64,
     cfg: &PathFollowConfig,
@@ -235,31 +278,10 @@ fn path_follow_inner(
         },
     );
 
-    // Warm resolve runs borrow the checkpoint's workspace and previous
-    // duals; cold runs start from `y = 0, s = c` with a private arena.
     let is_warm = warm.is_some();
-    let (y_init, ws_ext, label) = match warm {
-        Some(w) => {
-            debug_assert_eq!(w.y0.len(), n);
-            (w.y0, w.ws, w.label)
-        }
-        None => (vec![0.0; n], None, "reference"),
-    };
-    let mut s_init = vec![0.0; m];
-    incidence::apply_a_into(t, &p.graph, &y_init, &mut s_init);
-    for (se, &ce) in s_init.iter_mut().zip(&cost) {
-        *se = ce - *se;
-    }
-    let mut st = CentralPathState {
-        x: x0,
-        y: y_init,
-        s: s_init,
-        tau: vec![1.0; m],
-        mu: mu0,
-    };
-    barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
+    let (y0, ws_ext) = warm.unzip();
+    let (mut st, label) = begin(t, p, Engine::Reference, x0, y0, &cap, mu0, mu_end);
     let mut stats = PathStats::default();
-    emit_solve_start(label, n, m, mu0, mu_end, STEP_R, CENTER_TOL);
 
     let refresh_tau =
         |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, round: usize| {
@@ -288,14 +310,8 @@ fn path_follow_inner(
     // so steady-state steps perform zero heap allocations in the
     // matvec/vector-op path. Warm resolves reuse the checkpoint's arena
     // so repeated deltas stop allocating entirely.
-    let ws_own;
-    let ws = match ws_ext {
-        Some(w) => w,
-        None => {
-            ws_own = Workspace::new();
-            &ws_own
-        }
-    };
+    let ws_own = Workspace::new();
+    let ws = ws_ext.unwrap_or(&ws_own);
     // Previous Newton solution, carried across steps as a warm start.
     let mut prev_dy: Option<Vec<f64>> = None;
     let mut newton =
@@ -487,28 +503,7 @@ fn path_follow_inner(
             }
         });
     }
-    stats.final_centrality = worst;
-    stats.final_mu = st.mu;
-    // the ε-centered ball of Definition F.1: ‖z‖_∞ ≤ 1 at termination.
-    // A warm run that failed to reach the ball declares nothing — the
-    // caller discards its point and falls back to a fresh extended
-    // solve, whose own certificate then covers the instance. Cold runs
-    // always declare, so a genuinely uncentered cold termination stays
-    // a loud monitor failure.
-    if worst <= 1.0 || !is_warm {
-        pmcf_obs::emit_with("ipm.centered", || {
-            vec![
-                ("centrality", worst.into()),
-                ("limit", 1.0.into()),
-                ("phase", "final".into()),
-            ]
-        });
-    } else {
-        pmcf_obs::emit_with("ipm.uncentered", || {
-            vec![("centrality", worst.into()), ("mu", st.mu.into())]
-        });
-    }
-    emit_solve_end(label, t, &stats);
+    finish(t, label, is_warm, st.mu, worst, &mut stats);
     (st, stats)
 }
 

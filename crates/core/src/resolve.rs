@@ -1,4 +1,4 @@
-//! Incremental re-solve on graph deltas (ROADMAP item 3).
+//! Incremental re-solve on graph deltas.
 //!
 //! After a full [`crate::solve_mcf`], a [`McfCheckpoint`] retains the
 //! terminal central-path point `(x, y)`, the solver's [`Workspace`]
@@ -24,7 +24,7 @@
 //!    delta honestly re-follows a longer stretch of the path.
 //!
 //! Exactness is anchored the same way as a fresh solve: the terminal
-//! iterate is rounded by [`rounding::round_to_optimal`], whose repair +
+//! iterate is rounded by [`crate::rounding::round_to_optimal`], whose repair +
 //! negative-cycle cancellation certifies the integral optimum
 //! unconditionally. Resolve therefore returns the *same* typed
 //! [`McfError`] surface and the same exact objective as a fresh solve on
@@ -34,16 +34,13 @@
 //! Resolve iterations appear in the `pmcf.report/v1` convergence table
 //! under the `resolve-reference` / `resolve-robust` engine labels.
 
-use crate::api::{self, Engine, McfSolution, SolverConfig, WarmState};
+use crate::api::{self, McfSolution, SolverConfig, Start, WarmState};
 use crate::barrier;
 use crate::error::McfError;
 use crate::init;
-use crate::reference::{self, PathStats, WarmInit};
-use crate::robust;
-use crate::rounding;
 use pmcf_expander::dynamic::EdgeKey;
 use pmcf_expander::DynamicExpanderDecomposition;
-use pmcf_graph::{DiGraph, Flow, McfProblem};
+use pmcf_graph::{DiGraph, McfProblem};
 use pmcf_pram::{Cost, Tracker, Workspace};
 
 /// Conductance parameter for the checkpoint's expander decomposition.
@@ -157,14 +154,14 @@ impl McfCheckpoint {
     /// Fresh solve that also builds the checkpoint. The checkpoint is
     /// returned even when the solve fails, so delta application can
     /// proceed (e.g. to repair the instance that made it infeasible).
-    pub fn new(
+    pub(crate) fn new(
         t: &mut Tracker,
         p: &McfProblem,
         cfg: &SolverConfig,
     ) -> (Self, Result<McfSolution, McfError>) {
         let mut ded = DynamicExpanderDecomposition::new(p.n().max(1), DED_PHI, cfg.path.seed);
         let ded_keys = ded.insert_edges(t, p.graph.edges());
-        let (warm, result) = match api::solve_mcf_captured(t, p, cfg) {
+        let (warm, result) = match api::solve(t, p, cfg, Start::Cold) {
             Ok((sol, w)) => (Some(w), Ok(sol)),
             Err(e) => (None, Err(e)),
         };
@@ -252,12 +249,14 @@ impl McfCheckpoint {
             }
             // 3. warm resolve, or fresh fallback when the warm point was
             //    invalidated by a previous error
+            let (p, cfg) = (&self.problem, &self.cfg);
             let outcome = match self.warm.take() {
-                Some(w) => solve_warm(t, &self.problem, &self.cfg, &self.ws, w),
+                Some(w) => warm_point(t, p, w)
+                    .and_then(|(x, y)| api::solve(t, p, cfg, Start::Warm { x, y, ws: &self.ws })),
                 None => {
                     self.fresh_fallbacks += 1;
                     t.counter("resolve.fresh_fallbacks", 1);
-                    api::solve_mcf_captured(t, &self.problem, &self.cfg)
+                    api::solve(t, p, cfg, Start::Cold)
                 }
             };
             match outcome {
@@ -642,6 +641,40 @@ fn repair_feasibility(
     })
 }
 
+/// The warm start's μ₀ for one connected component at the repaired point
+/// `(x, y)`: the μ-scan of [`pick_mu`] between `μ_end` and the cold
+/// start's μ, charged, counted and declared as `resolve.warm_start`.
+pub(crate) fn warm_mu(t: &mut Tracker, p: &McfProblem, x: &[f64], y: &[f64], mu_end: f64) -> f64 {
+    let capf: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
+    let mu_hi = init::initial_mu(p, 0.25);
+    // reduced costs + interior-clamped copy, for the μ-scan only (the
+    // engine re-derives both from (x, y) itself)
+    let mut xc = x.to_vec();
+    barrier::clamp_interior_soft(&mut xc, &capf, 1e-9);
+    let s: Vec<f64> = p
+        .graph
+        .edges()
+        .iter()
+        .zip(&p.cost)
+        .map(|(&(u, v), &c)| c as f64 - (y[v] - y[u]))
+        .collect();
+    let mu0 = pick_mu(&xc, &s, &capf, mu_end, mu_hi);
+    t.charge(Cost {
+        work: (p.m() * (((mu0 / mu_end).log2() / 2.0) as usize + 1)) as u64,
+        depth: 8,
+    });
+    t.counter("resolve.warm_solves", 1);
+    pmcf_obs::emit_with("resolve.warm_start", || {
+        vec![
+            ("mu_warm", mu0.into()),
+            ("mu_end", mu_end.into()),
+            ("mu_cold", mu_hi.into()),
+            ("m", p.m().into()),
+        ]
+    });
+    mu0
+}
+
 /// Pick the restart parameter: the smallest μ in the geometric ladder
 /// `μ_end·4^k` at which the warm point is approximately centered
 /// (`‖z‖_∞ ≤ 1`, with τ ≡ 1 as a constant-factor proxy — both engines
@@ -663,17 +696,14 @@ fn pick_mu(x: &[f64], s: &[f64], cap: &[f64], mu_end: f64, mu_hi: f64) -> f64 {
     }
 }
 
-/// Warm re-solve of the full (already mutated) instance: repair
-/// conservation, split into components exactly like
-/// [`crate::solve_mcf`]'s sanitize pass, warm-start each component's
-/// engine, round, and reassemble — capturing the new terminal point.
-fn solve_warm(
+/// The warm start for the full (already mutated) instance: the previous
+/// terminal point seeded for the delta and repaired to satisfy
+/// `Aᵀx = b`, or the typed [`McfError::Infeasible`] the repair certifies.
+fn warm_point(
     t: &mut Tracker,
     p: &McfProblem,
-    cfg: &SolverConfig,
-    ws: &Workspace,
     warm: WarmState,
-) -> Result<(McfSolution, WarmState), McfError> {
+) -> Result<(Vec<f64>, Vec<f64>), McfError> {
     let (n, m) = (p.n(), p.m());
     let mut x = warm.x_frac;
     let mut y = warm.y;
@@ -690,7 +720,7 @@ fn solve_warm(
     // flip leaves the coordinate at the wrong bound where the barrier
     // term pins |z| ≈ 1 — invisibly off-path — yet the engine would pay
     // a full migration across the box for it at small μ.
-    let mu_ref = 1.0 / (16.0 * (n as f64 + 1.0));
+    let mu_ref = init::final_mu(p);
     let mut frozen = vec![false; m];
     for (e, &(u, v)) in p.graph.edges().iter().enumerate() {
         let uf = p.cap[e] as f64;
@@ -720,187 +750,13 @@ fn solve_warm(
 
     // combinatorial feasibility repair (typed Infeasible on failure)
     repair_feasibility(t, p, &mut x, &mut y, &frozen)?;
-
-    // sanitize + per-component warm solves, mirroring solve_mcf
-    let mut keep: Vec<usize> = Vec::new();
-    for (e, &(u, v)) in p.graph.edges().iter().enumerate() {
-        if p.cap[e] > 0 && u != v {
-            keep.push(e);
-        }
-    }
-    let ug = pmcf_graph::UGraph::from_edges(
-        n,
-        keep.iter()
-            .map(|&e| p.graph.endpoints(e))
-            .collect::<Vec<_>>(),
-    );
-    let (comp, ncomp) = ug.components();
-    let mut x_all = vec![0i64; m];
-    let mut stats_total = PathStats::default();
-    let mut warm_out = WarmState {
-        x_frac: vec![0.0; m],
-        y: vec![0.0; n],
-    };
-    for c in 0..ncomp {
-        let verts: Vec<usize> = (0..n).filter(|&v| comp[v] == c).collect();
-        if verts.len() == 1 {
-            if p.demand[verts[0]] != 0 {
-                return Err(McfError::Infeasible);
-            }
-            continue;
-        }
-        let bal: i64 = verts.iter().map(|&v| p.demand[v]).sum();
-        if bal != 0 {
-            return Err(McfError::Infeasible);
-        }
-        let mut local_of = vec![usize::MAX; n];
-        for (i, &v) in verts.iter().enumerate() {
-            local_of[v] = i;
-        }
-        let mut edges = Vec::new();
-        let mut cap = Vec::new();
-        let mut cost = Vec::new();
-        let mut orig = Vec::new();
-        let mut x0 = Vec::new();
-        for &e in &keep {
-            let (u, v) = p.graph.endpoints(e);
-            if comp[u] == c {
-                edges.push((local_of[u], local_of[v]));
-                cap.push(p.cap[e]);
-                cost.push(p.cost[e]);
-                x0.push(x[e]);
-                orig.push(e);
-            }
-        }
-        let demand: Vec<i64> = verts.iter().map(|&v| p.demand[v]).collect();
-        let y0: Vec<f64> = verts.iter().map(|&v| y[v]).collect();
-        let lp = McfProblem::new(DiGraph::from_edges(verts.len(), edges), cap, cost, demand);
-        let (x_local, st, wx, wy) = solve_connected_warm(t, &lp, cfg, ws, x0, y0)?;
-        for (le, &e) in orig.iter().enumerate() {
-            x_all[e] = x_local[le];
-            warm_out.x_frac[e] = wx[le];
-        }
-        for (i, &v) in verts.iter().enumerate() {
-            warm_out.y[v] = wy[i];
-        }
-        stats_total.iterations += st.iterations;
-        stats_total.newton_steps += st.newton_steps;
-        stats_total.cg_iterations += st.cg_iterations;
-        stats_total.final_mu = st.final_mu;
-        stats_total.final_centrality = stats_total.final_centrality.max(st.final_centrality);
-    }
-
-    let flow = Flow { x: x_all };
-    if !flow.is_feasible(p) {
-        return Err(McfError::numerical(
-            "assembled per-component resolve optimum violates feasibility",
-        ));
-    }
-    let cost = flow
-        .try_cost(p)
-        .ok_or_else(|| McfError::overflow("optimal cost cᵀx overflows i64"))?;
-    Ok((
-        McfSolution {
-            flow,
-            cost,
-            stats: stats_total,
-        },
-        warm_out,
-    ))
-}
-
-/// `(rounded flow, stats, fractional x, duals y)` from one warm
-/// component solve — the warm pair feeds the next checkpoint.
-type WarmComponentSolve = (Vec<i64>, PathStats, Vec<f64>, Vec<f64>);
-
-/// Warm-solve one connected component: μ-scan, engine run from the warm
-/// pair, exact rounding. No big-M extension — the warm point is already
-/// feasible, so the auxiliary-vertex construction of [`init::extend`]
-/// never enters.
-fn solve_connected_warm(
-    t: &mut Tracker,
-    p: &McfProblem,
-    cfg: &SolverConfig,
-    ws: &Workspace,
-    x0: Vec<f64>,
-    y0: Vec<f64>,
-) -> Result<WarmComponentSolve, McfError> {
-    if p.m() == 0 {
-        return if p.demand.iter().all(|&b| b == 0) {
-            Ok((Vec::new(), PathStats::default(), Vec::new(), y0))
-        } else {
-            Err(McfError::Infeasible)
-        };
-    }
-    let capf: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
-    let mu_end = init::final_mu(p);
-    let mu_hi = init::initial_mu(p, 0.25);
-    // reduced costs + interior-clamped copy, for the μ-scan only (the
-    // engine re-derives both from (x0, y0) itself)
-    let mut xc = x0.clone();
-    barrier::clamp_interior_soft(&mut xc, &capf, 1e-9);
-    let s: Vec<f64> = p
-        .graph
-        .edges()
-        .iter()
-        .zip(&p.cost)
-        .map(|(&(u, v), &c)| c as f64 - (y0[v] - y0[u]))
-        .collect();
-    let mu0 = pick_mu(&xc, &s, &capf, mu_end, mu_hi);
-    t.charge(Cost {
-        work: (p.m() * (((mu0 / mu_end).log2() / 2.0) as usize + 1)) as u64,
-        depth: 8,
-    });
-    t.counter("resolve.warm_solves", 1);
-    pmcf_obs::emit_with("resolve.warm_start", || {
-        vec![
-            ("mu_warm", mu0.into()),
-            ("mu_end", mu_end.into()),
-            ("mu_cold", mu_hi.into()),
-            ("m", p.m().into()),
-        ]
-    });
-    let warm = WarmInit {
-        y0,
-        ws: Some(ws),
-        label: match cfg.engine {
-            Engine::Reference => "resolve-reference",
-            Engine::Robust => "resolve-robust",
-        },
-    };
-    let (state, stats) = match cfg.engine {
-        Engine::Reference => reference::path_follow_warm(t, p, x0, warm, mu0, mu_end, &cfg.path),
-        Engine::Robust => robust::path_follow_warm(t, p, x0, warm, mu0, mu_end, &cfg.path),
-    };
-    // A warm run that terminates outside the ε-centered ball cannot be
-    // trusted (degenerate components whose feasible set has empty strict
-    // interior have no central path at all without the big-M extension,
-    // and no amount of recentering reaches one). Fall back to a fresh
-    // extended solve of this component — the certificate then comes from
-    // the cold path, which always carries the auxiliary slack.
-    if stats.final_centrality > 1.0 || stats.final_centrality.is_nan() {
-        t.counter("resolve.warm_fallbacks", 1);
-        pmcf_obs::emit_with("resolve.warm_fallback", || {
-            vec![
-                ("centrality", stats.final_centrality.into()),
-                ("m", p.m().into()),
-            ]
-        });
-        let (x_exact, cold_stats, wl) = api::solve_connected(t, p, cfg)?;
-        let mut merged = cold_stats;
-        merged.iterations += stats.iterations;
-        merged.newton_steps += stats.newton_steps;
-        merged.cg_iterations += stats.cg_iterations;
-        return Ok((x_exact, merged, wl.x_frac, wl.y));
-    }
-    let rounded = rounding::round_to_optimal(p, &state.x)?;
-    Ok((rounded.x, stats, state.x, state.y))
+    Ok((x, y))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::solve_mcf;
+    use crate::api::{solve_mcf, Engine};
     use pmcf_baselines::ssp;
     use pmcf_graph::generators;
 

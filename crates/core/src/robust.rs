@@ -24,10 +24,11 @@
 //! its structures, so the amortized `Õ(m/√n)` per-iteration cost is
 //! preserved while keeping the trajectory numerically anchored.
 
+use crate::api::Engine;
 use crate::barrier;
 use crate::reference::{
-    centrality, emit_solve_end, emit_solve_start, CentralPathState, PathFollowConfig, PathStats,
-    WarmInit, CENTER_TOL, MAX_CORRECTORS, MAX_ITERS, STEP_R,
+    begin, centrality, finish, CentralPathState, PathFollowConfig, PathStats, CENTER_TOL,
+    MAX_CORRECTORS, MAX_ITERS, STEP_R,
 };
 use pmcf_ds::dual::DualMaintenance;
 use pmcf_ds::heavy_sampler::HeavySampler;
@@ -231,31 +232,19 @@ pub fn path_follow(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg)
+    follow(t, p, x0, None, mu0, mu_end, cfg)
 }
 
-/// [`path_follow`] resuming from a warm `(x0, y0)` pair — the
-/// incremental-resolve path ([`crate::resolve`]). The initial
-/// `refresh_tau_dense` + recenter rounds re-center the warm point after
-/// the delta before any epoch structure is built.
-pub fn path_follow_warm(
+/// [`path_follow`] from either start: `warm` carries the previous duals
+/// and the checkpoint's long-lived [`Workspace`]; without it the run
+/// starts from `y = 0` with a private arena. On a warm start the initial
+/// `refresh_tau_dense` + recenter rounds re-center the point after the
+/// delta before any epoch structure is built.
+pub(crate) fn follow(
     t: &mut Tracker,
     p: &McfProblem,
     x0: Vec<f64>,
-    warm: WarmInit<'_>,
-    mu0: f64,
-    mu_end: f64,
-    cfg: &PathFollowConfig,
-) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn path_follow_inner(
-    t: &mut Tracker,
-    p: &McfProblem,
-    x0: Vec<f64>,
-    warm: Option<WarmInit<'_>>,
+    warm: Option<(Vec<f64>, &Workspace)>,
     mu0: f64,
     mu_end: f64,
     cfg: &PathFollowConfig,
@@ -283,45 +272,18 @@ fn path_follow_inner(
         },
     );
 
-    // Warm resolve runs borrow the checkpoint's workspace and previous
-    // duals; cold runs start from `y = 0, s = c` with a private arena.
     let is_warm = warm.is_some();
-    let (y_init, ws_ext, label) = match warm {
-        Some(w) => {
-            debug_assert_eq!(w.y0.len(), n);
-            (w.y0, w.ws, w.label)
-        }
-        None => (vec![0.0; n], None, "robust"),
-    };
-    let mut s_init = vec![0.0; m];
-    incidence::apply_a_into(t, &p.graph, &y_init, &mut s_init);
-    for (se, &ce) in s_init.iter_mut().zip(&cost) {
-        *se = ce - *se;
-    }
+    let (y0, ws_ext) = warm.unzip();
     // exact anchor state
-    let mut st = CentralPathState {
-        x: x0,
-        y: y_init,
-        s: s_init,
-        tau: vec![1.0; m],
-        mu: mu0,
-    };
-    barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
+    let (mut st, label) = begin(t, p, Engine::Robust, x0, y0, &cap, mu0, mu_end);
     let mut stats = PathStats::default();
-    emit_solve_start(label, n, m, mu0, mu_end, STEP_R, CENTER_TOL);
 
     // One buffer arena for the whole solve: Newton temporaries, the
     // per-step RHS copies, and all CG scratch (including the short-lived
     // sparsifier solvers') recycle here. Warm resolves reuse the
     // checkpoint's arena so repeated deltas stop allocating entirely.
-    let ws_own;
-    let ws = match ws_ext {
-        Some(w) => w,
-        None => {
-            ws_own = Workspace::new();
-            &ws_own
-        }
-    };
+    let ws_own = Workspace::new();
+    let ws = ws_ext.unwrap_or(&ws_own);
     // dense recentering helper (shared with exactification); carries the
     // previous Newton solution across rounds as a CG warm start
     let mut recenter_warm: Option<Vec<f64>> = None;
@@ -765,26 +727,7 @@ fn path_follow_inner(
         recenter(t, &mut st, &mut stats, 64 * MAX_CORRECTORS);
         worst = centrality(&st, &cap).1;
     }
-    stats.final_centrality = worst;
-    stats.final_mu = st.mu;
-    // the ε-centered ball of Definition F.1: ‖z‖_∞ ≤ 1 at termination.
-    // Warm runs that failed to reach the ball declare nothing (the
-    // caller falls back to a fresh extended solve); cold runs always
-    // declare, keeping uncentered cold terminations loud.
-    if worst <= 1.0 || !is_warm {
-        pmcf_obs::emit_with("ipm.centered", || {
-            vec![
-                ("centrality", worst.into()),
-                ("limit", 1.0.into()),
-                ("phase", "final".into()),
-            ]
-        });
-    } else {
-        pmcf_obs::emit_with("ipm.uncentered", || {
-            vec![("centrality", worst.into()), ("mu", st.mu.into())]
-        });
-    }
-    emit_solve_end(label, t, &stats);
+    finish(t, label, is_warm, st.mu, worst, &mut stats);
     (st, stats)
 }
 

@@ -4,9 +4,12 @@
 //! duality gap is below ½. Our pipeline makes exactness *unconditional*:
 //!
 //! 1. round `x` coordinate-wise and clamp into `[0, u]`,
-//! 2. repair conservation with a min-cost `b`-flow on the residual graph
-//!    (the imbalance is tiny when the IPM converged — a few augmenting
-//!    paths),
+//! 2. repair conservation with a min-cost `b`-flow on the residual graph.
+//!    This is not a few augmenting paths: `ssp::min_cost_flow`
+//!    pre-saturates every negative-cost residual arc, so the repair costs
+//!    about one full sequential SSP solve, uncharged (the benchmark's
+//!    `round.round_s` ≈ `baselines.ssp_s`). ROADMAP item 2 replaces it
+//!    with a repair seeded from the IPM's duals,
 //! 3. cancel negative cycles in the residual graph until none remain —
 //!    the classical optimality certificate: an integral flow is
 //!    minimum-cost **iff** its residual has no negative cycle.

@@ -21,7 +21,6 @@ pub mod leverage;
 pub mod lewis;
 pub mod sketch;
 pub mod solver;
-pub mod sparsifier;
 
 pub use dense::DenseMat;
 pub use solver::{LaplacianSolver, SolveStats, SolverOpts};

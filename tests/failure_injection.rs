@@ -3,25 +3,41 @@
 //! never panic or return a wrong answer.
 
 use pmcf_baselines::ssp;
-use pmcf_core::{solve_mcf, McfError, SolverConfig};
+use pmcf_core::{
+    solve_mcf, solve_mcf_checkpointed, Engine, McfError, McfSolution, ResolveDelta, SolverConfig,
+};
 use pmcf_graph::{generators, DiGraph, McfProblem};
 use pmcf_pram::Tracker;
 
+/// Run `p` on both engines through both starts — a fresh solve, then a
+/// checkpoint and an empty-delta resolve, which still runs the whole warm
+/// path (or the fresh fallback when the base solve failed) — and hold
+/// every answer to the SSP oracle's verdict and cost.
 fn check(p: &McfProblem, label: &str) {
     let want = ssp::min_cost_flow(p);
-    let mut t = Tracker::new();
-    let got = solve_mcf(&mut t, p, &SolverConfig::default());
-    match (want, got) {
+    let agrees = |got: Result<McfSolution, McfError>, run: &str| match (&want, got) {
         (Some(w), Ok(g)) => {
-            assert!(g.flow.is_feasible(p), "{label}: infeasible output");
-            assert_eq!(g.cost, w.cost(p), "{label}: wrong cost");
+            assert!(g.flow.is_feasible(p), "{label} ({run}): infeasible output");
+            assert_eq!(g.cost, w.cost(p), "{label} ({run}): wrong cost");
         }
         (None, Err(McfError::Infeasible)) => {}
         (w, g) => panic!(
-            "{label}: oracle feasible={} but solver said {:?}",
+            "{label} ({run}): oracle feasible={} but solver said {:?}",
             w.is_some(),
             g.map(|s| s.cost)
         ),
+    };
+    for engine in [Engine::Reference, Engine::Robust] {
+        let cfg = SolverConfig {
+            engine,
+            ..Default::default()
+        };
+        let mut t = Tracker::new();
+        agrees(solve_mcf(&mut t, p, &cfg), &format!("{engine:?}, fresh"));
+        let (mut ck, first) = solve_mcf_checkpointed(&mut t, p, &cfg);
+        agrees(first, &format!("{engine:?}, checkpoint"));
+        let resolved = ck.resolve(&mut t, &ResolveDelta::default());
+        agrees(resolved, &format!("{engine:?}, resolve"));
     }
 }
 
