@@ -119,9 +119,9 @@ pub fn validate_instance(p: &McfProblem) -> Result<(), McfError> {
     if total_demand > total_cap.saturating_mul(2) {
         return Err(McfError::Infeasible);
     }
-    // headroom: the rounding pipeline runs Bellman-Ford/SSP over a
-    // residual graph whose costs reach ±big-M; path sums must stay in
-    // i64 with margin
+    // headroom: the rounding pipeline runs Bellman-Ford and Dijkstra
+    // over a residual graph whose costs reach ±big-M; path sums and
+    // potentials must stay in i64 with margin
     let big_m = init::checked_big_m(p)
         .ok_or_else(|| McfError::overflow("big-M construction: 2 + 4·Σ|c_e|·u_e exceeds i64"))?;
     match (n + 2).checked_mul(big_m) {

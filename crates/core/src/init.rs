@@ -127,9 +127,10 @@ pub fn initial_mu(p: &McfProblem, eps: f64) -> f64 {
 /// `1/4`. The paper rounds the iterate directly at that gap, but small
 /// integer costs leave a whole optimal face and the path converges to
 /// its fractional centre, so the rounded point is usually still
-/// imbalanced. [`crate::rounding::round_to_optimal`]'s repair then costs
-/// about one full SSP solve; ROADMAP item 2 seeds it from the IPM's duals
-/// instead.
+/// imbalanced. [`crate::rounding::round_to_optimal`] then routes just
+/// that imbalance: on `table1_mcf --seed 42` Σ|imb| ≤ 18 takes Σ|imb|/2
+/// one-unit paths, about 20k arc scans at n = 144 (its `round.repair`
+/// event).
 pub fn final_mu(p: &McfProblem) -> f64 {
     // gap ≈ μ · Σ τ ≈ μ · 2n (Στ = Σσ + m·(n/m) ≤ 2n)
     1.0 / (16.0 * (p.n() as f64 + 1.0))

@@ -17,8 +17,8 @@
 //!   data-structure stack of `pmcf-ds` (`Õ(m/√n + n)` accounted
 //!   work/iteration),
 //! * [`rounding`] — rounding the interior iterate to an exact integral
-//!   optimum (with unconditional certification by negative-cycle
-//!   cancelling),
+//!   optimum (repaired in place, certified unconditionally by
+//!   potentials),
 //! * [`api`] — the public solver entry points,
 //! * [`resolve`] — incremental re-solve on graph deltas: checkpointed
 //!   warm restarts from the previous central-path point,

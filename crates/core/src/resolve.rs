@@ -15,8 +15,9 @@
 //!    cost (the closed-form root of `s + μφ'(x) = 0`);
 //! 2. conservation is repaired *combinatorially* — the per-vertex
 //!    imbalance left by deletions is rerouted through the residual graph
-//!    (multi-source Edmonds–Karp), which succeeds iff the mutated
-//!    instance is feasible, so no big-M extension is needed;
+//!    (cost-guided Bellman–Ford augmenting paths, with BFS fallbacks),
+//!    which succeeds iff the mutated instance is feasible, so no big-M
+//!    extension is needed;
 //! 3. the restart parameter `μ_warm` is the smallest μ at which the
 //!    repaired point is approximately centered (`‖z‖_∞ ≤ 1`, scanned
 //!    geometrically from `μ_end` up) — a one-edge delta restarts right
@@ -24,12 +25,12 @@
 //!    delta honestly re-follows a longer stretch of the path.
 //!
 //! Exactness is anchored the same way as a fresh solve: the terminal
-//! iterate is rounded by [`crate::rounding::round_to_optimal`], whose repair +
-//! negative-cycle cancellation certifies the integral optimum
-//! unconditionally. Resolve therefore returns the *same* typed
-//! [`McfError`] surface and the same exact objective as a fresh solve on
-//! the mutated instance — the property the `resolve-churn` differential
-//! family races.
+//! iterate is rounded by [`crate::rounding::round_to_optimal`], which
+//! repairs it in place and certifies the integral optimum
+//! unconditionally with potentials. Resolve therefore returns the *same*
+//! typed [`McfError`] surface and the same exact objective as a fresh
+//! solve on the mutated instance — the property the `resolve-churn`
+//! differential family races.
 //!
 //! Resolve iterations appear in the `pmcf.report/v1` convergence table
 //! under the `resolve-reference` / `resolve-robust` engine labels.
@@ -412,11 +413,11 @@ fn centered_x(s: f64, u: f64, mu: f64) -> f64 {
 }
 
 /// Restore `Aᵀx = b` on the warm fractional point by rerouting the
-/// per-vertex surplus through the residual graph (multi-source
-/// Edmonds–Karp, surplus vertices → deficit vertices). If a feasible
-/// flow `f` exists then `f − x` itself is a valid routing, so failure
-/// certifies [`McfError::Infeasible`] — exactly the class a fresh solve
-/// returns on the same instance.
+/// per-vertex surplus through the residual graph (augmenting paths from
+/// surplus to deficit vertices: cost-guided Bellman–Ford first, BFS as
+/// the fallback). If a feasible flow `f` exists then `f − x` itself is
+/// a valid routing, so failure certifies [`McfError::Infeasible`] —
+/// exactly the class a fresh solve returns on the same instance.
 ///
 /// `frozen` marks edges whose value the seeding stage chose on purpose
 /// (snapped-to-centered survivors and freshly inserted edges). Their

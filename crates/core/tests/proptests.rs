@@ -31,8 +31,11 @@ proptest! {
     #[test]
     fn rounding_from_arbitrary_fractional_points_is_optimal(
         seed in 0u64..5_000,
-        noise in 0.0f64..0.45,
+        noise in 0.0f64..2.0,
     ) {
+        // coordinates move by up to ±1, so rounded points are imbalanced
+        // and may carry negative cycles: the repair, not the rounding,
+        // has to reach the optimum
         let p = generators::random_mcf(7, 21, 3, 3, seed);
         let opt = ssp::min_cost_flow(&p).unwrap();
         let x: Vec<f64> = opt.x.iter().enumerate()

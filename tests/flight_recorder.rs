@@ -17,29 +17,27 @@ fn record_solve(engine: &str, seed: u64) -> (Vec<pmcf_obs::Event>, u64) {
     let mu0 = init::initial_mu(&ext.prob, 0.25);
     let mu_end = init::final_mu(&ext.prob);
     let mut t = Tracker::profiled();
-    match engine {
-        "reference" => {
-            let _ = pmcf_core::reference::path_follow(
-                &mut t,
-                &ext.prob,
-                ext.x0.clone(),
-                mu0,
-                mu_end,
-                &PathFollowConfig::default(),
-            );
-        }
-        "robust" => {
-            let _ = pmcf_core::robust::path_follow(
-                &mut t,
-                &ext.prob,
-                ext.x0.clone(),
-                mu0,
-                mu_end,
-                &PathFollowConfig::default(),
-            );
-        }
+    let (state, _) = match engine {
+        "reference" => pmcf_core::reference::path_follow(
+            &mut t,
+            &ext.prob,
+            ext.x0.clone(),
+            mu0,
+            mu_end,
+            &PathFollowConfig::default(),
+        ),
+        "robust" => pmcf_core::robust::path_follow(
+            &mut t,
+            &ext.prob,
+            ext.x0.clone(),
+            mu0,
+            mu_end,
+            &PathFollowConfig::default(),
+        ),
         other => panic!("unknown engine {other}"),
-    }
+    };
+    pmcf_core::rounding::round_to_optimal(&ext.prob, &state.x)
+        .expect("the path end rounds exactly");
     let rec = pmcf_obs::uninstall().expect("recorder installed");
     (rec.snapshot(), rec.dropped())
 }
@@ -62,6 +60,20 @@ fn reference_solve_recording_passes_all_monitors() {
     }
     assert!(events.iter().any(|e| e.kind == "ipm.centered"));
     assert!(events.iter().any(|e| e.kind == "solve.end"));
+    let repair = events
+        .iter()
+        .find(|e| e.kind == "round.repair")
+        .expect("rounding emits round.repair");
+    for field in [
+        "m",
+        "imbalance",
+        "bf_rounds",
+        "cancellations",
+        "paths",
+        "arc_scans",
+    ] {
+        assert!(repair.num(field).is_some(), "round.repair without {field}");
+    }
     let verdicts = run_monitors(&events);
     assert!(
         all_ok(&verdicts),
