@@ -9,7 +9,8 @@
 //!
 //! Flags: `[max_n] --seed <u64> --json <path>`. With `PMCF_REPORT=<path>`
 //! every solve is span-profiled and carries a depth ledger. The robust
-//! engine's largest solve's phase tree is printed and embedded in the
+//! engine's largest solve's phase tree is printed, with each span's self
+//! wall time and nanoseconds per self-charged unit, and embedded in the
 //! artifact under `profile`; every engine's largest solve reports its
 //! critical path — the per-span attribution of the depth total, printed
 //! as a top-K table and embedded as `pmcf.critpath/v1` reports under the

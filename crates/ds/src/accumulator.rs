@@ -12,6 +12,12 @@
 //! could exceed its accuracy `ε_i/10`. Two ordered maps per bucket (by
 //! upper / lower drift threshold) make finding violators
 //! output-sensitive.
+//!
+//! The IPM's per-step refresh moves a coordinate's bucket and rescales
+//! it in one [`GradientAccumulator::move_and_scale`] call: one removal
+//! of the old thresholds, one sync against the old bucket and scale, one
+//! insertion of the new thresholds. It reaches the state of Lemma D.5's
+//! `Move` followed by `Scale`, bit for bit.
 
 use pmcf_pram::{Cost, Tracker};
 use std::collections::BTreeMap;
@@ -114,26 +120,23 @@ impl GradientAccumulator {
         self.insert_thresholds(i);
     }
 
-    /// Move coordinates to new buckets (Lemma D.5 `Move`): `Õ(|I|)` work.
-    pub fn move_buckets(&mut self, t: &mut Tracker, moves: &[(usize, usize)]) {
-        t.charge(Cost::par_flat(moves.len() as u64));
-        let mut changed = Vec::new();
-        for &(i, k) in moves {
-            self.sync(i, 0.0, &mut changed);
+    /// Move coordinates to new buckets and rescale them, `(i, k, a)`:
+    /// bucket `k`, scaling `g_i ← a` (Lemma D.5 `Move` then `Scale`):
+    /// `Õ(|I|)` work, charged as `Move` plus `Scale`.
+    ///
+    /// `x̄_i` first takes the drift accrued under the old bucket and
+    /// scale; from then on it accrues under the new ones.
+    pub fn move_and_scale(&mut self, t: &mut Tracker, updates: &[(usize, usize, f64)]) {
+        t.charge(Cost::par_flat(updates.len() as u64));
+        t.charge(Cost::par_flat(updates.len() as u64));
+        for &(i, k, a) in updates {
             self.remove_thresholds(i);
+            let delta = self.g[i] * (self.f[self.bucket[i]] - self.fsync[i]);
+            if delta != 0.0 {
+                self.xbar[i] += delta;
+            }
             self.bucket[i] = k;
             self.fsync[i] = self.f[k];
-            self.insert_thresholds(i);
-        }
-    }
-
-    /// Update scalings `g_i ← a_i` (Lemma D.5 `Scale`): `Õ(|I|)` work.
-    pub fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        t.charge(Cost::par_flat(updates.len() as u64));
-        let mut changed = Vec::new();
-        for &(i, a) in updates {
-            self.sync(i, 0.0, &mut changed);
-            self.remove_thresholds(i);
             self.g[i] = a;
             self.insert_thresholds(i);
         }
@@ -318,6 +321,101 @@ mod tests {
         assert!((exact[17] - 0.005).abs() < 1e-12);
     }
 
+    /// Lemma D.5's `Move` and `Scale` as separate passes, verbatim from
+    /// before [`GradientAccumulator::move_and_scale`] fused them: the
+    /// oracle the fused update must match bit for bit.
+    impl GradientAccumulator {
+        fn move_buckets(&mut self, t: &mut Tracker, moves: &[(usize, usize)]) {
+            t.charge(Cost::par_flat(moves.len() as u64));
+            let mut changed = Vec::new();
+            for &(i, k) in moves {
+                self.sync(i, 0.0, &mut changed);
+                self.remove_thresholds(i);
+                self.bucket[i] = k;
+                self.fsync[i] = self.f[k];
+                self.insert_thresholds(i);
+            }
+        }
+
+        fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
+            t.charge(Cost::par_flat(updates.len() as u64));
+            let mut changed = Vec::new();
+            for &(i, a) in updates {
+                self.sync(i, 0.0, &mut changed);
+                self.remove_thresholds(i);
+                self.g[i] = a;
+                self.insert_thresholds(i);
+            }
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn move_and_scale_is_bit_identical_to_move_then_scale() {
+        for seed in 0..6u64 {
+            let (m, kk) = (48, 7);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let x0: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let bucket: Vec<usize> = (0..m).map(|_| rng.gen_range(0..kk)).collect();
+            let eps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.001..0.05)).collect();
+            let (mut ta, mut tb) = (Tracker::new(), Tracker::new());
+            let mut fused = GradientAccumulator::initialize(
+                &mut ta,
+                x0.clone(),
+                g.clone(),
+                bucket.clone(),
+                kk,
+                eps.clone(),
+            );
+            let mut pair = GradientAccumulator::initialize(&mut tb, x0, g, bucket, kk, eps);
+            for step in 0..40 {
+                let s: Vec<f64> = (0..kk).map(|_| rng.gen_range(-0.01..0.01)).collect();
+                let h: Vec<(usize, f64)> = if step % 5 == 0 {
+                    vec![(rng.gen_range(0..m), rng.gen_range(-0.1..0.1))]
+                } else {
+                    vec![]
+                };
+                assert_eq!(
+                    fused.query(&mut ta, &s, &h),
+                    pair.query(&mut tb, &s, &h),
+                    "seed {seed} step {step}: changed lists"
+                );
+                // distinct coordinates, each keeping its bucket, moving to
+                // a new one, or flipping the sign of its scaling
+                let idx: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.4)).collect();
+                let updates: Vec<(usize, usize, f64)> = idx
+                    .iter()
+                    .map(|&i| match rng.gen_range(0..3) {
+                        0 => (i, fused.bucket[i], rng.gen_range(0.5..2.0)),
+                        1 => (i, rng.gen_range(0..kk), rng.gen_range(-2.0..2.0)),
+                        _ => (i, fused.bucket[i], -fused.g[i]),
+                    })
+                    .collect();
+                fused.move_and_scale(&mut ta, &updates);
+                let moves: Vec<(usize, usize)> = updates.iter().map(|&(i, k, _)| (i, k)).collect();
+                let scales: Vec<(usize, f64)> = updates.iter().map(|&(i, _, a)| (i, a)).collect();
+                pair.move_buckets(&mut tb, &moves);
+                pair.scale(&mut tb, &scales);
+                assert_eq!(
+                    bits(fused.xbar()),
+                    bits(pair.xbar()),
+                    "seed {seed} step {step}: xbar"
+                );
+                assert_eq!(ta.work(), tb.work(), "seed {seed} step {step}: work");
+                assert_eq!(ta.depth(), tb.depth(), "seed {seed} step {step}: depth");
+            }
+            assert_eq!(
+                bits(&fused.compute_exact(&mut ta)),
+                bits(&pair.compute_exact(&mut tb)),
+                "seed {seed}: exact sum"
+            );
+        }
+    }
+
     #[test]
     fn moves_and_scales_preserve_value() {
         let mut t = Tracker::new();
@@ -332,8 +430,7 @@ mod tests {
         acc.query(&mut t, &[1.0, 2.0], &[]);
         // x = [1, 2]; now move coord 0 to bucket 1 and scale it; future
         // steps use the new bucket/scale, past value preserved
-        acc.move_buckets(&mut t, &[(0, 1)]);
-        acc.scale(&mut t, &[(0, 10.0)]);
+        acc.move_and_scale(&mut t, &[(0, 1, 10.0)]);
         acc.query(&mut t, &[0.0, 0.5], &[]);
         let exact = acc.compute_exact(&mut t);
         assert!((exact[0] - (1.0 + 10.0 * 0.5)).abs() < 1e-9, "{}", exact[0]);

@@ -154,7 +154,7 @@ impl DualMaintenance {
                 let eps_q = 0.2 * self.eps / log_n;
                 let found = self.detectors[j].heavy_query(t, &self.f_epoch[j], eps_q);
                 candidates.extend(found);
-                self.f_epoch[j] = vec![0.0; self.graph.n()];
+                self.f_epoch[j].fill(0.0);
             }
         }
         t.charge(Cost::par_flat(self.graph.n() as u64)); // epoch vector updates

@@ -18,6 +18,11 @@ use pmcf_pram::{Cost, Tracker};
 /// c·|x_i|/v_i²)` with `c` saturating the ℓ₂ budget `1−s`; the objective
 /// is concave in `s`, so a ternary search over `s` with an inner binary
 /// search over `c` solves it. `O(K log² (1/tol))` work.
+///
+/// `|x_i|` and `v_i²` are formed once for all evaluations and every sum
+/// runs in index order. The bisection ends once `mid` hits an endpoint:
+/// from there each later step would recompute the same state, so the
+/// result is bit-for-bit that of all 80 steps.
 pub fn flat_max(x: &[f64], v: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), v.len());
     let k = x.len();
@@ -25,55 +30,68 @@ pub fn flat_max(x: &[f64], v: &[f64]) -> Vec<f64> {
         return Vec::new();
     }
     debug_assert!(v.iter().all(|&vi| vi > 0.0), "v must be positive");
+    let ax: Vec<f64> = x.iter().map(|xi| xi.abs()).collect();
+    let vv: Vec<f64> = v.iter().map(|vi| vi * vi).collect();
 
-    // value and w for a given ∞-budget s
-    let eval = |s: f64| -> (f64, Vec<f64>) {
+    // ‖v·w‖₂ at multiplier c: w_i = min(s, c|x_i|/v_i²)
+    let norm_at = |c: f64, s: f64| -> f64 {
+        ax.iter()
+            .zip(&vv)
+            .map(|(&a, &q)| {
+                let wi = (c * a / q).min(s);
+                q * wi * wi
+            })
+            .sum::<f64>()
+            .sqrt()
+    };
+    // the c ≥ 0 with Σ v_i² min(s, c|x_i|/v_i²)² = r² for r = 1 − s;
+    // `None` for the pure ∞ budget r ≤ 0
+    let multiplier = |s: f64| -> Option<f64> {
         let r = 1.0 - s;
         if r <= 0.0 {
-            // pure ∞ budget
-            let w: Vec<f64> = x.iter().map(|&xi| xi.signum() * s).collect();
-            let val = x.iter().map(|xi| xi.abs() * s).sum();
-            return (val, w);
+            return None;
         }
-        // find c ≥ 0 with Σ v_i² min(s, c|x_i|/v_i²)² = r²
-        let norm_at = |c: f64| -> f64 {
-            x.iter()
-                .zip(v)
-                .map(|(&xi, &vi)| {
-                    let wi = (c * xi.abs() / (vi * vi)).min(s);
-                    vi * vi * wi * wi
-                })
-                .sum::<f64>()
-                .sqrt()
-        };
         // bracket c
         let mut hi = 1.0;
-        while norm_at(hi) < r && hi < 1e18 {
+        let mut norm_hi = norm_at(hi, s);
+        while norm_hi < r && hi < 1e18 {
             hi *= 2.0;
+            norm_hi = norm_at(hi, s);
         }
-        let norm_hi = norm_at(hi);
-        let c = if norm_hi < r {
-            hi // everything capped at s; cannot reach the budget
-        } else {
-            let mut lo = 0.0;
-            let mut hi_b = hi;
-            for _ in 0..80 {
-                let mid = 0.5 * (lo + hi_b);
-                if norm_at(mid) < r {
-                    lo = mid;
-                } else {
-                    hi_b = mid;
-                }
+        if norm_hi < r {
+            return Some(hi); // everything capped at s; cannot reach the budget
+        }
+        let mut lo = 0.0;
+        let mut hi_b = hi;
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi_b);
+            // once mid is an endpoint the step leaves (lo, hi_b) at a
+            // fixed point that every later step would recompute
+            let settled = mid == lo || mid == hi_b;
+            if norm_at(mid, s) < r {
+                lo = mid;
+            } else {
+                hi_b = mid;
             }
-            0.5 * (lo + hi_b)
-        };
-        let w: Vec<f64> = x
-            .iter()
-            .zip(v)
-            .map(|(&xi, &vi)| xi.signum() * (c * xi.abs() / (vi * vi)).min(s))
-            .collect();
-        let val = x.iter().zip(&w).map(|(a, b)| a * b).sum();
-        (val, w)
+            if settled {
+                break;
+            }
+        }
+        Some(0.5 * (lo + hi_b))
+    };
+    // w_i at ∞-budget s and multiplier c
+    let weight = |i: usize, c: Option<f64>, s: f64| -> f64 {
+        match c {
+            None => x[i].signum() * s,
+            Some(c) => x[i].signum() * (c * ax[i] / vv[i]).min(s),
+        }
+    };
+    // objective ⟨x, w⟩ at ∞-budget s
+    let value = |s: f64| -> f64 {
+        match multiplier(s) {
+            None => ax.iter().map(|a| a * s).sum(),
+            c => (0..k).map(|i| x[i] * weight(i, c, s)).sum(),
+        }
     };
 
     // ternary search over s ∈ [0, 1]
@@ -82,13 +100,15 @@ pub fn flat_max(x: &[f64], v: &[f64]) -> Vec<f64> {
     for _ in 0..60 {
         let m1 = lo + (hi - lo) / 3.0;
         let m2 = hi - (hi - lo) / 3.0;
-        if eval(m1).0 < eval(m2).0 {
+        if value(m1) < value(m2) {
             lo = m1;
         } else {
             hi = m2;
         }
     }
-    eval(0.5 * (lo + hi)).1
+    let s = 0.5 * (lo + hi);
+    let c = multiplier(s);
+    (0..k).map(|i| weight(i, c, s)).collect()
 }
 
 /// The soft-max potential `Ψ(z) = Σ cosh(λ z_i)` and its gradient
@@ -124,7 +144,9 @@ pub struct GradientReduction {
     bucket: Vec<BucketId>,
     /// member count per bucket (dense over the K grid)
     count: Vec<u32>,
-    /// `w^{(k,ℓ)} = Aᵀ G 1_bucket ∈ R^n` per bucket
+    /// `w^{(k,ℓ)} = Aᵀ G 1_bucket ∈ R^n` per bucket; a row is allocated
+    /// on the bucket's first member, so the few occupied buckets of the
+    /// `K` grid are the only ones holding `n` floats
     agg: Vec<Vec<f64>>,
     k_levels: u32,
     l_levels: u32,
@@ -161,7 +183,7 @@ impl GradientReduction {
             potential: 0.0,
             bucket: vec![BucketId { k: 0, l: 0 }; m],
             count: vec![0; (k_levels * l_levels) as usize],
-            agg: vec![vec![0.0; n]; (k_levels * l_levels) as usize],
+            agg: vec![Vec::new(); (k_levels * l_levels) as usize],
             k_levels,
             l_levels,
             graph,
@@ -209,6 +231,9 @@ impl GradientReduction {
         let (u, v) = self.graph.endpoints(i);
         let idx = self.flat(b);
         let w = sign * self.g[i];
+        if self.agg[idx].is_empty() {
+            self.agg[idx] = vec![0.0; self.graph.n()];
+        }
         self.agg[idx][u] -= w;
         self.agg[idx][v] += w;
     }
@@ -281,6 +306,8 @@ impl GradientReduction {
                 *o += s[idx] * a;
             }
         }
+        // charges the product only: `flat_max`'s ≈ 10⁴·K flops of search
+        // go uncharged
         t.charge(Cost::par_for(
             occupied.len().max(1) as u64,
             Cost::par_flat(n as u64),
@@ -351,6 +378,118 @@ mod tests {
             assert!(l2 + linf <= 1.0 + 1e-6, "infeasible: {l2} + {linf}");
             let rnd = brute_flat_max(&x, &v, 3000);
             assert!(val >= rnd - 1e-2, "flat_max {val} < random search {rnd}");
+        }
+    }
+
+    /// `flat_max` before `|x_i|` and `v_i²` were hoisted and the
+    /// bisection learned to stop at its fixed point, verbatim: the oracle
+    /// the rewrite must match bit for bit.
+    fn flat_max_oracle(x: &[f64], v: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), v.len());
+        let k = x.len();
+        if k == 0 {
+            return Vec::new();
+        }
+        debug_assert!(v.iter().all(|&vi| vi > 0.0), "v must be positive");
+
+        // value and w for a given ∞-budget s
+        let eval = |s: f64| -> (f64, Vec<f64>) {
+            let r = 1.0 - s;
+            if r <= 0.0 {
+                // pure ∞ budget
+                let w: Vec<f64> = x.iter().map(|&xi| xi.signum() * s).collect();
+                let val = x.iter().map(|xi| xi.abs() * s).sum();
+                return (val, w);
+            }
+            // find c ≥ 0 with Σ v_i² min(s, c|x_i|/v_i²)² = r²
+            let norm_at = |c: f64| -> f64 {
+                x.iter()
+                    .zip(v)
+                    .map(|(&xi, &vi)| {
+                        let wi = (c * xi.abs() / (vi * vi)).min(s);
+                        vi * vi * wi * wi
+                    })
+                    .sum::<f64>()
+                    .sqrt()
+            };
+            // bracket c
+            let mut hi = 1.0;
+            while norm_at(hi) < r && hi < 1e18 {
+                hi *= 2.0;
+            }
+            let norm_hi = norm_at(hi);
+            let c = if norm_hi < r {
+                hi // everything capped at s; cannot reach the budget
+            } else {
+                let mut lo = 0.0;
+                let mut hi_b = hi;
+                for _ in 0..80 {
+                    let mid = 0.5 * (lo + hi_b);
+                    if norm_at(mid) < r {
+                        lo = mid;
+                    } else {
+                        hi_b = mid;
+                    }
+                }
+                0.5 * (lo + hi_b)
+            };
+            let w: Vec<f64> = x
+                .iter()
+                .zip(v)
+                .map(|(&xi, &vi)| xi.signum() * (c * xi.abs() / (vi * vi)).min(s))
+                .collect();
+            let val = x.iter().zip(&w).map(|(a, b)| a * b).sum();
+            (val, w)
+        };
+
+        // ternary search over s ∈ [0, 1]
+        let mut lo = 0.0f64;
+        let mut hi = 1.0f64;
+        for _ in 0..60 {
+            let m1 = lo + (hi - lo) / 3.0;
+            let m2 = hi - (hi - lo) / 3.0;
+            if eval(m1).0 < eval(m2).0 {
+                lo = m1;
+            } else {
+                hi = m2;
+            }
+        }
+        eval(0.5 * (lo + hi)).1
+    }
+
+    fn bits(w: &[f64]) -> Vec<u64> {
+        w.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn flat_max_is_bit_identical_to_the_unhoisted_search() {
+        let mut rng = SmallRng::seed_from_u64(0xF1A7);
+        for case in 0..512usize {
+            // every K in 1..=256 twice
+            let k = 1 + case * 37 % 256;
+            // |x_i| log-uniform in [1e-6, 1e6], both signs, with ±0 mixed in
+            let x: Vec<f64> = (0..k)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => {
+                        let a = 10f64.powf(rng.gen_range(-6.0..6.0));
+                        if rng.gen_bool(0.5) {
+                            a
+                        } else {
+                            -a
+                        }
+                    }
+                })
+                .collect();
+            let v: Vec<f64> = (0..k)
+                .map(|_| 10f64.powf(rng.gen_range(-3.0..3.0)))
+                .collect();
+            assert_eq!(
+                bits(&flat_max(&x, &v)),
+                bits(&flat_max_oracle(&x, &v)),
+                "case {case}, K = {k}"
+            );
         }
     }
 

@@ -29,8 +29,11 @@ const CLASS_PHI: f64 = 0.1;
 
 struct ClassState {
     ded: DynamicExpanderDecomposition,
-    /// DED key → global edge id.
-    edge_of: HashMap<EdgeKey, EdgeId>,
+    /// DED key → global edge id, indexed by key: a class's DED hands out
+    /// keys densely from 0, and `reinitialize` resets both together. A
+    /// key deleted by `scale` keeps a `usize::MAX` slot; views never
+    /// reach it, since they skip dead edges.
+    edge_of: Vec<EdgeId>,
     /// Seed the class was (re)built with — `seed + c` at build time.
     build_seed: u64,
     /// True while the class's DED state is exactly "one batch insert of
@@ -102,7 +105,7 @@ impl HeavyHitter {
         let seed = self.seed.wrapping_add(c as u64);
         let class = self.classes.entry(c).or_insert_with(|| ClassState {
             ded: DynamicExpanderDecomposition::new(n, CLASS_PHI, seed),
-            edge_of: HashMap::new(),
+            edge_of: Vec::new(),
             build_seed: seed,
             pristine: true,
         });
@@ -116,7 +119,11 @@ impl HeavyHitter {
         for (&e, k) in edges.iter().zip(keys) {
             self.class_of[e] = Some(c);
             self.key_of[e] = k;
-            class.edge_of.insert(k, e);
+            let slot = k as usize;
+            if class.edge_of.len() <= slot {
+                class.edge_of.resize(slot + 1, usize::MAX);
+            }
+            class.edge_of[slot] = e;
         }
     }
 
@@ -153,7 +160,7 @@ impl HeavyHitter {
                 self.classes.get(&c).is_some_and(|class| {
                     class.pristine
                         && class.build_seed == seed.wrapping_add(c as u64)
-                        && class.edge_of.len() == edges.len()
+                        && class.ded.edge_count() == edges.len()
                         && edges.iter().all(|&e| self.class_of[e] == Some(c))
                 })
             })
@@ -220,8 +227,8 @@ impl HeavyHitter {
         for (c, keys) in deletions {
             let class = self.classes.get_mut(&c).expect("class exists");
             class.pristine = false;
-            for k in &keys {
-                class.edge_of.remove(k);
+            for &k in &keys {
+                class.edge_of[k as usize] = usize::MAX;
             }
             class.ded.delete_edges(t, &keys);
         }
@@ -272,7 +279,7 @@ impl HeavyHitter {
                             if !view.alive_edge[le] {
                                 continue;
                             }
-                            let e = class.edge_of[&view.keys[le]];
+                            let e = class.edge_of[view.keys[le] as usize];
                             let (tu, tv) = self.graph.endpoints(e);
                             let val = self.weights[e] * (h[tv] - h[tu]);
                             if val.abs() >= eps {
@@ -375,7 +382,7 @@ impl HeavyHitter {
                         for j in picks {
                             let (_, le) = view.adj[lv][j];
                             if view.alive_edge[le] {
-                                out.push(class.edge_of[&view.keys[le]]);
+                                out.push(class.edge_of[view.keys[le] as usize]);
                             }
                         }
                     }
@@ -453,7 +460,7 @@ impl HeavyHitter {
                             if p >= 1.0 {
                                 for &(_, le) in adj {
                                     if view.alive_edge[le] {
-                                        out.push(class.edge_of[&view.keys[le]]);
+                                        out.push(class.edge_of[view.keys[le] as usize]);
                                     }
                                 }
                                 touched += adj.len() as u64;
@@ -462,7 +469,7 @@ impl HeavyHitter {
                             for &(_, le) in adj {
                                 touched += 1;
                                 if view.alive_edge[le] && self.rng.gen_bool(p) {
-                                    out.push(class.edge_of[&view.keys[le]]);
+                                    out.push(class.edge_of[view.keys[le] as usize]);
                                 }
                             }
                         }
@@ -502,7 +509,7 @@ impl HeavyHitter {
                         if p >= 1.0 {
                             for &(_, le) in adj {
                                 if view.alive_edge[le] {
-                                    picked.push(class.edge_of[&view.keys[le]]);
+                                    picked.push(class.edge_of[view.keys[le] as usize]);
                                 }
                             }
                             touched += adj.len() as u64;
@@ -533,7 +540,7 @@ impl HeavyHitter {
                         for j in picks {
                             let (_, le) = view.adj[lv][j];
                             if view.alive_edge[le] {
-                                picked.push(class.edge_of[&view.keys[le]]);
+                                picked.push(class.edge_of[view.keys[le] as usize]);
                             }
                         }
                     }

@@ -61,13 +61,11 @@ impl PrimalGradient {
     /// Update `g, τ̃, z` on coordinates (Theorem D.1 `Update`).
     pub fn update(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64, f64)]) {
         let _new_buckets = self.reduction.update(t, updates);
-        let moves: Vec<(usize, usize)> = updates
+        let moves: Vec<(usize, usize, f64)> = updates
             .iter()
-            .map(|&(i, ..)| (i, self.reduction.bucket_of(i)))
+            .map(|&(i, g, ..)| (i, self.reduction.bucket_of(i), g))
             .collect();
-        self.accumulator.move_buckets(t, &moves);
-        let scales: Vec<(usize, f64)> = updates.iter().map(|&(i, g, ..)| (i, g)).collect();
-        self.accumulator.scale(t, &scales);
+        self.accumulator.move_and_scale(t, &moves);
     }
 
     /// Update accuracy weights (Theorem D.1 `SetAccuracy`).

@@ -65,66 +65,73 @@ pub fn cut_conductance(g: &UGraph, in_s: &[bool]) -> Option<f64> {
 /// Approximate Fiedler vector of the *normalized* Laplacian by power
 /// iteration on the lazy random walk `W = (I + D⁻¹A)/2`, deflating the
 /// stationary (degree) direction. Isolated vertices get value 0.
+///
+/// Only the support (degree > 0) is swept, in vertex order, over two
+/// swapped buffers: `O(|support| + m)` per iteration, not `O(n + m)`.
+/// An isolated entry is `+0.0` and stays `+0.0`, so every sum adds the
+/// same nonzero terms in the same order as a sweep over all `n` entries
+/// and the generator is drawn for the same vertices in the same order:
+/// the result is bit-for-bit the full sweep's.
 pub fn approx_fiedler(g: &UGraph, iters: usize, seed: u64) -> Vec<f64> {
     let n = g.n();
     let mut rng = SmallRng::seed_from_u64(seed);
     let deg: Vec<f64> = (0..n).map(|v| g.degree(v) as f64).collect();
-    let total: f64 = deg.iter().sum();
+    let support: Vec<usize> = (0..n).filter(|&v| deg[v] > 0.0).collect();
+    let total = support_sum(&support, n, |v| deg[v]);
     if total == 0.0 {
         return vec![0.0; n];
     }
-    let mut x: Vec<f64> = (0..n)
-        .map(|v| {
-            if deg[v] > 0.0 {
-                rng.gen_range(-1.0..1.0)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let deflate = |x: &mut Vec<f64>| {
+    let mut x = vec![0.0; n];
+    for &v in &support {
+        x[v] = rng.gen_range(-1.0..1.0);
+    }
+    let deflate = |x: &mut [f64]| {
         // remove the component along 1 in the D-inner-product (the top
         // eigenvector of the random walk)
-        let c: f64 = x.iter().zip(&deg).map(|(xi, di)| xi * di).sum::<f64>() / total;
-        for (xi, &di) in x.iter_mut().zip(&deg) {
-            if di > 0.0 {
-                *xi -= c;
-            }
+        let c = support_sum(&support, n, |v| x[v] * deg[v]) / total;
+        for &v in &support {
+            x[v] -= c;
         }
     };
     deflate(&mut x);
+    let mut y = vec![0.0; n];
     for _ in 0..iters {
-        let mut y = vec![0.0; n];
-        for (u, row) in (0..n).map(|u| (u, g.neighbors(u))) {
-            if deg[u] == 0.0 {
-                continue;
-            }
+        for &u in &support {
             let mut acc = 0.0;
-            for &(w, _) in row {
+            for &(w, _) in g.neighbors(u) {
                 acc += x[w];
             }
             y[u] = 0.5 * x[u] + 0.5 * acc / deg[u];
         }
         deflate(&mut y);
-        let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let norm = support_sum(&support, n, |v| y[v] * y[v]).sqrt();
         if norm < 1e-300 {
             // eigen-gap collapsed; re-randomize
-            for (v, yi) in y.iter_mut().enumerate() {
-                *yi = if deg[v] > 0.0 {
-                    rng.gen_range(-1.0..1.0)
-                } else {
-                    0.0
-                };
+            for &v in &support {
+                y[v] = rng.gen_range(-1.0..1.0);
             }
             deflate(&mut y);
         } else {
-            for yi in y.iter_mut() {
-                *yi /= norm;
+            for &v in &support {
+                y[v] /= norm;
             }
         }
-        x = y;
+        std::mem::swap(&mut x, &mut y);
     }
     x
+}
+
+/// `Σ_v term(v)` over all `n` vertices, in vertex order, where every
+/// vertex outside `support` contributes `+0.0`: bit-identical to the full
+/// sum. A `+0.0` term turns the `-0.0` an empty float sum starts from into
+/// `+0.0` and leaves every other running sum unchanged, so once one such
+/// term is present the support sum starts from `+0.0`.
+fn support_sum(support: &[usize], n: usize, term: impl Fn(usize) -> f64) -> f64 {
+    if support.len() == n {
+        support.iter().map(|&v| term(v)).sum()
+    } else {
+        support.iter().fold(0.0, |acc, &v| acc + term(v))
+    }
 }
 
 /// Sweep cut: sort vertices by `score/deg`-style embedding value and take
@@ -263,6 +270,102 @@ mod tests {
         }
         edges.push((k - 1, k));
         UGraph::from_edges(2 * k, edges)
+    }
+
+    /// `approx_fiedler` before it swept only the support, verbatim: the
+    /// oracle the support sweep must match bit for bit.
+    fn approx_fiedler_oracle(g: &UGraph, iters: usize, seed: u64) -> Vec<f64> {
+        let n = g.n();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let deg: Vec<f64> = (0..n).map(|v| g.degree(v) as f64).collect();
+        let total: f64 = deg.iter().sum();
+        if total == 0.0 {
+            return vec![0.0; n];
+        }
+        let mut x: Vec<f64> = (0..n)
+            .map(|v| {
+                if deg[v] > 0.0 {
+                    rng.gen_range(-1.0..1.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let deflate = |x: &mut Vec<f64>| {
+            // remove the component along 1 in the D-inner-product (the top
+            // eigenvector of the random walk)
+            let c: f64 = x.iter().zip(&deg).map(|(xi, di)| xi * di).sum::<f64>() / total;
+            for (xi, &di) in x.iter_mut().zip(&deg) {
+                if di > 0.0 {
+                    *xi -= c;
+                }
+            }
+        };
+        deflate(&mut x);
+        for _ in 0..iters {
+            let mut y = vec![0.0; n];
+            for (u, row) in (0..n).map(|u| (u, g.neighbors(u))) {
+                if deg[u] == 0.0 {
+                    continue;
+                }
+                let mut acc = 0.0;
+                for &(w, _) in row {
+                    acc += x[w];
+                }
+                y[u] = 0.5 * x[u] + 0.5 * acc / deg[u];
+            }
+            deflate(&mut y);
+            let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if norm < 1e-300 {
+                // eigen-gap collapsed; re-randomize
+                for (v, yi) in y.iter_mut().enumerate() {
+                    *yi = if deg[v] > 0.0 {
+                        rng.gen_range(-1.0..1.0)
+                    } else {
+                        0.0
+                    };
+                }
+                deflate(&mut y);
+            } else {
+                for yi in y.iter_mut() {
+                    *yi /= norm;
+                }
+            }
+            x = y;
+        }
+        x
+    }
+
+    #[test]
+    fn approx_fiedler_is_bit_identical_to_the_full_sweep() {
+        for s in 0..3u64 {
+            let host = generators::gnm_ugraph(64, 256, s);
+            let third: Vec<usize> = (0..host.m()).step_by(3).collect();
+            let graphs = [
+                // many isolated vertices, as `decompose_subset` sees them
+                host.edge_subgraph(&third).0,
+                UGraph::from_edges(40, vec![(7, 21)]),
+                // a lone self loop deflates to zero: the re-randomize path
+                UGraph::from_edges(40, vec![(9, 9)]),
+                UGraph::from_edges(12, vec![(0, 0), (0, 5), (5, 11), (11, 0)]),
+                // no isolated vertex at all
+                generators::random_regular_ugraph(32, 4, s),
+            ];
+            for (gi, g) in graphs.iter().enumerate() {
+                for iters in [12, 67, 100] {
+                    let seed = 1000 * s + iters as u64;
+                    let got: Vec<u64> = approx_fiedler(g, iters, seed)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    let want: Vec<u64> = approx_fiedler_oracle(g, iters, seed)
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    assert_eq!(got, want, "seed {s}, graph {gi}, iters {iters}");
+                }
+            }
+        }
     }
 
     #[test]

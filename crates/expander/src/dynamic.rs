@@ -6,10 +6,16 @@
 //! `i` with `2^i ≥ |batch| + Σ_{j≤i} |E_j|`, gather those buckets plus
 //! the batch, recompute a static edge-partitioned decomposition
 //! ([`crate::static_decomp::edge_decompose`]) and install it as the new
-//! `G_i` — each part getting a fresh [`crate::pruning::BoostedPruner`].
-//! A deletion batch routes each edge to its part's pruner; spilled edges
-//! are reinserted at the bottom. Amortized update work is
-//! `Õ(|batch|/φ⁵)` with `Õ(1/φ⁴)` depth.
+//! `G_i`. A deletion batch routes each edge to its part's
+//! [`crate::pruning::BoostedPruner`]; spilled edges are reinserted at the
+//! bottom. Amortized update work is `Õ(|batch|/φ⁵)` with `Õ(1/φ⁴)` depth.
+//!
+//! A part's pruner is built on the part's first delete, not at the
+//! rebuild that makes the part. Construction is uncharged and a pruner
+//! built later over the part's edge list is the same fresh pruner, so
+//! charged costs and outcomes do not move. Most parts are never deleted
+//! from before the next cascade replaces them, and then no pruner, no
+//! host subgraph copy and no pooled unit-flow state is made for them.
 //!
 //! Parts use *compact* local vertex indexing and expose a [`PartView`]
 //! (vertex list, local adjacency, alive flags) so consumers — notably the
@@ -49,6 +55,16 @@ fn certify_part(sub: &UGraph, phi: f64, seed: u64) -> (bool, Option<f64>) {
 
 /// Stable handle for an inserted edge.
 pub type EdgeKey = u64;
+
+/// Local id of host vertex `v` in the part being installed, assigning
+/// the next one on first sight.
+fn local_id(local_of: &mut [usize], verts: &mut Vec<Vertex>, v: Vertex) -> usize {
+    if local_of[v] == usize::MAX {
+        local_of[v] = verts.len();
+        verts.push(v);
+    }
+    local_of[v]
+}
 
 /// Compact, incrementally-maintained view of one expander part.
 #[derive(Clone, Debug)]
@@ -111,9 +127,10 @@ impl PartView {
     }
 }
 
-/// One expander part: a pruner over its compact host subgraph + the view.
+/// One expander part: the view, plus a pruner over the compact host
+/// subgraph `view.ends` once the part has seen its first delete.
 struct PartState {
-    pruner: BoostedPruner,
+    pruner: Option<BoostedPruner>,
     view: PartView,
 }
 
@@ -166,6 +183,9 @@ pub struct DynamicExpanderDecomposition {
     /// calls keeps the steady-state cascade from reallocating the
     /// `O(2^target)`-sized scratch every time.
     gather: Vec<EdgeKey>,
+    /// Host vertex → local id of the part being installed, `usize::MAX`
+    /// elsewhere; reset after each part.
+    local_of: Vec<usize>,
 }
 
 impl DynamicExpanderDecomposition {
@@ -183,6 +203,7 @@ impl DynamicExpanderDecomposition {
             next_key: 0,
             rebuilds: 0,
             gather: Vec::new(),
+            local_of: vec![usize::MAX; n],
         }
     }
 
@@ -280,7 +301,12 @@ impl DynamicExpanderDecomposition {
             for ((b, p), local_edges) in per_part {
                 let spilled = {
                     let part = &mut self.buckets[b].parts[p];
-                    let outcome = part.pruner.delete_batch(t, &local_edges);
+                    let view = &part.view;
+                    let pruner = part.pruner.get_or_insert_with(|| {
+                        let sub = UGraph::from_edges(view.verts.len(), view.ends.clone());
+                        BoostedPruner::new(sub, self.phi)
+                    });
+                    let outcome = pruner.delete_batch(t, &local_edges);
                     for &le in &local_edges {
                         part.view.kill_edge(le);
                     }
@@ -394,27 +420,22 @@ impl DynamicExpanderDecomposition {
         let bucket = &mut self.buckets[target];
         for part in parts {
             // compact local indexing — ids assigned in (deterministic)
-            // edge order, the map is only ever probed by key
-            let mut local_of: BTreeMap<Vertex, usize> = BTreeMap::new();
+            // edge order
             let mut verts = Vec::new();
-            let local =
-                |v: Vertex, verts: &mut Vec<Vertex>, local_of: &mut BTreeMap<Vertex, usize>| {
-                    *local_of.entry(v).or_insert_with(|| {
-                        verts.push(v);
-                        verts.len() - 1
-                    })
-                };
             let mut ends = Vec::with_capacity(part.edges.len());
             for &e in &part.edges {
                 let (u, v) = host.endpoints(e);
-                let lu = local(u, &mut verts, &mut local_of);
-                let lv = local(v, &mut verts, &mut local_of);
+                let lu = local_id(&mut self.local_of, &mut verts, u);
+                let lv = local_id(&mut self.local_of, &mut verts, v);
                 ends.push((lu, lv));
             }
+            for &v in &verts {
+                self.local_of[v] = usize::MAX;
+            }
             let part_keys: Vec<EdgeKey> = part.edges.iter().map(|&e| all_keys[e]).collect();
-            let sub = UGraph::from_edges(verts.len(), ends.clone());
-            if certify && sub.m() > 2 && sub.m() <= CERTIFY_EDGE_LIMIT {
+            if certify && ends.len() > 2 && ends.len() <= CERTIFY_EDGE_LIMIT {
                 checked_parts += 1;
+                let sub = UGraph::from_edges(verts.len(), ends.clone());
                 let (ok, measured) = certify_part(&sub, self.phi, self.seed ^ 0xFACE);
                 if !ok {
                     certified = false;
@@ -426,14 +447,13 @@ impl DynamicExpanderDecomposition {
                     );
                 }
             }
-            let pruner = BoostedPruner::new(sub, self.phi);
             let view = PartView::from_edges(verts, ends, part_keys);
             let pidx = bucket.parts.len();
             for (le, &k) in view.keys.iter().enumerate() {
                 self.registry.insert(k, (target, pidx, le));
             }
             bucket.alive += view.keys.len();
-            bucket.parts.push(PartState { pruner, view });
+            bucket.parts.push(PartState { pruner: None, view });
         }
         pmcf_obs::emit_with("expander.rebuild", || {
             let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![

@@ -383,14 +383,18 @@ impl ProfileReport {
         Some(cur)
     }
 
-    /// Indented flamegraph-style markdown rendering.
+    /// Indented flamegraph-style markdown rendering. `ns / self unit` is
+    /// a span's self wall time over its self work: where it is far above
+    /// its siblings', the span does machine work its charges miss.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str("### Phase profile\n\n");
-        out.push_str("| phase | work | % of total | depth | wall | calls |\n");
-        out.push_str("|---|---|---|---|---|---|\n");
+        out.push_str(
+            "| phase | work | % of total | depth | wall | self wall | ns / self unit | calls |\n",
+        );
+        out.push_str("|---|---|---|---|---|---|---|---|\n");
         out.push_str(&format!(
-            "| (total) | {} | 100.0% | {} | — | — |\n",
+            "| (total) | {} | 100.0% | {} | — | — | — | — |\n",
             self.work, self.depth,
         ));
         fn walk(out: &mut String, s: &SpanReport, indent: usize, total_work: u64) {
@@ -399,14 +403,20 @@ impl ProfileReport {
             } else {
                 0.0
             };
+            let per_unit = match s.self_work() {
+                0 => "—".to_string(),
+                w => format!("{:.1}", s.self_wall_ns() as f64 / w as f64),
+            };
             out.push_str(&format!(
-                "| {}{} | {} | {:.1}% | {} | {:.3}ms | {} |\n",
+                "| {}{} | {} | {:.1}% | {} | {:.3}ms | {:.3}ms | {} | {} |\n",
                 "&nbsp;&nbsp;".repeat(indent),
                 s.name,
                 s.work,
                 pct,
                 s.depth,
                 s.wall.as_secs_f64() * 1e3,
+                s.self_wall_ns() as f64 / 1e6,
+                per_unit,
                 s.count
             ));
             for c in &s.children {
@@ -538,5 +548,21 @@ mod tests {
         assert!(md.contains("alpha"));
         assert!(md.contains("beta"));
         assert!(md.contains("(total)"));
+        assert!(md.contains(
+            "| phase | work | % of total | depth | wall | self wall | ns / self unit | calls |"
+        ));
+        // alpha charges nothing itself: no per-unit figure; beta does
+        let row = |name: &str| {
+            md.lines()
+                .find(|l| l.contains(&format!(";{name} |")))
+                .unwrap()
+                .split('|')
+                .map(str::trim)
+                .collect::<Vec<_>>()
+        };
+        let (alpha, beta) = (row("alpha"), row("beta"));
+        assert_eq!(alpha.len(), 10, "{alpha:?}");
+        assert_eq!(alpha[7], "—");
+        assert!(beta[7].parse::<f64>().is_ok(), "{beta:?}");
     }
 }
