@@ -24,8 +24,10 @@
 //!   reported a stale delete across the sweep.
 //!
 //! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
-//! `pmcf.report/v1` run report in which resolve iterations appear under
-//! the `resolve-reference` engine label.
+//! `pmcf.report/v1` run report whose spans, counters and critical path
+//! are the churn sequence's (the checkpointing solve and its resolves),
+//! and in which resolve iterations appear under the `resolve-reference`
+//! engine label.
 
 use pmcf_bench::{mdln, Artifact, BenchArgs};
 use pmcf_core::{solve_mcf, NewEdge, ResolveDelta, SolverConfig};
@@ -175,7 +177,9 @@ fn main() {
     // ---- churn: one checkpoint, 12 deltas, cumulative ratio ----
     let churn_rounds = 12usize;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let mut tck = Tracker::new();
+    // under `PMCF_REPORT` this tracker is profiled, and the run report
+    // holds the churn checkpoint's solve and its resolves
+    let mut tck = pmcf_obs::tracker();
     let (mut ck, first) = pmcf_core::solve_mcf_checkpointed(&mut tck, &base, &cfg);
     first.expect("base bench instance is feasible");
     let mut work_res_total = 0u64;
@@ -232,5 +236,5 @@ fn main() {
     artifact.set("stale_deletes_zero", (stale_total == 0).into());
 
     artifact.emit(&args);
-    pmcf_obs::finish("resolve", None);
+    pmcf_obs::finish("resolve", Some(&tck));
 }

@@ -117,13 +117,12 @@ fn build_structures(
     x: &[f64],
     s: &[f64],
     mu: f64,
-    solver: &LaplacianSolver,
     tau_anchor: &[f64],
     seed: u64,
 ) -> RobustState {
     t.span("ipm/build-structures", |t| {
         t.counter("ipm.structure_rebuilds", 1);
-        build_structures_inner(t, p, cap, x, s, mu, solver, tau_anchor, seed)
+        build_structures_inner(t, p, cap, x, s, mu, tau_anchor, seed)
     })
 }
 
@@ -135,7 +134,6 @@ fn build_structures_inner(
     x: &[f64],
     s: &[f64],
     mu: f64,
-    solver: &LaplacianSolver,
     tau_anchor: &[f64],
     seed: u64,
 ) -> RobustState {
@@ -147,27 +145,9 @@ fn build_structures_inner(
         .zip(cap)
         .map(|(&xi, &ui)| 1.0 / phi_terms(xi, ui).1.sqrt())
         .collect();
-    // the caller just refreshed τ from a dense leverage pass at the epoch
-    // boundary — reuse it rather than re-solving from scratch
-    let epoch = ((n as f64).sqrt().ceil() as usize).max(8);
-    let lm = LewisMaintenance::from_weights(
-        t,
-        LaplacianSolver::new(
-            p.graph.clone(),
-            solver.ground(),
-            SolverOpts {
-                tol: 1e-4,
-                max_iter: 400,
-            },
-        ),
-        g_lewis.clone(),
-        tau_anchor.to_vec(),
-        pp,
-        z_reg,
-        0.2,
-        8 * epoch, // amortization window of the internal rebuild
-        seed,
-    );
+    // the caller refreshed τ from a dense leverage pass at this epoch
+    // boundary or carried the maintained τ̄ over — start from it
+    let lm = LewisMaintenance::from_weights(t, g_lewis, tau_anchor.to_vec(), pp, z_reg, 0.2);
     let tau: Vec<f64> = tau_anchor.to_vec();
 
     let zvec: Vec<f64> = (0..m)
@@ -359,7 +339,7 @@ pub(crate) fn follow(
     recenter(t, &mut st, &mut stats, MAX_CORRECTORS);
 
     let epoch = ((n as f64).sqrt().ceil() as usize).max(8);
-    let mut rs = build_structures(t, p, &cap, &st.x, &st.s, st.mu, &solver, &st.tau, cfg.seed);
+    let mut rs = build_structures(t, p, &cap, &st.x, &st.s, st.mu, &st.tau, cfg.seed);
     let mut tau_sum: f64 = rs.tau.iter().sum();
 
     // Warm starts for the per-step (δ_y, δ_c) pair: the epoch-persistent
@@ -412,7 +392,6 @@ pub(crate) fn follow(
                         &st.x,
                         &st.s,
                         st.mu,
-                        &solver,
                         &st.tau,
                         cfg.seed + stats.iterations as u64,
                     );

@@ -142,19 +142,6 @@ impl GradientAccumulator {
         }
     }
 
-    /// Update accuracies (Lemma D.5 `SetAccuracy`): `Õ(|I|)` work.
-    pub fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        t.charge(Cost::par_flat(updates.len() as u64));
-        let mut changed = Vec::new();
-        for &(i, d) in updates {
-            assert!(d > 0.0);
-            self.sync(i, 0.0, &mut changed);
-            self.remove_thresholds(i);
-            self.eps[i] = d;
-            self.insert_thresholds(i);
-        }
-    }
-
     /// One step (Lemma D.5 `Query`): advance every bucket by `s_k`, apply
     /// the sparse direct increment `h`, and return `(x̄, J)` where `J`
     /// lists coordinates whose `x̄` changed. Output-sensitive work.
@@ -435,24 +422,5 @@ mod tests {
         let exact = acc.compute_exact(&mut t);
         assert!((exact[0] - (1.0 + 10.0 * 0.5)).abs() < 1e-9, "{}", exact[0]);
         assert!((exact[1] - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_accuracy_tightens_tracking() {
-        let mut t = Tracker::new();
-        let mut acc = GradientAccumulator::initialize(
-            &mut t,
-            vec![0.0; 1],
-            vec![1.0; 1],
-            vec![0],
-            1,
-            vec![10.0; 1],
-        );
-        acc.query(&mut t, &[0.5], &[]); // within slack 1.0: no sync
-        assert!((acc.xbar()[0] - 0.0).abs() < 1e-12);
-        acc.set_accuracy(&mut t, &[(0, 0.001)]); // sync + tighten
-        assert!((acc.xbar()[0] - 0.5).abs() < 1e-12);
-        let j = acc.query(&mut t, &[0.01], &[]);
-        assert_eq!(j, vec![0], "tight accuracy forces sync");
     }
 }

@@ -2,18 +2,28 @@
 //!
 //! Maintains `v(t) = v_init + A·Σ_{k≤t} h^{(k)}` (the IPM's dual slack
 //! `s`) and reports `v̄` with per-coordinate guarantee
-//! `‖w^{-1}(v̄ − v)‖_∞ ≤ ε`, in output-sensitive work: a HeavyHitter
-//! (Lemma B.1) per dyadic time scale `2^j` detects the coordinates whose
-//! accumulated drift `(A·f^{(j)})_i` could have crossed the threshold
-//! `0.2·w_i·ε/log n`; only those are recomputed exactly. The structure
-//! reinitializes itself every `T = Θ(√n)` steps (amortized `Õ(m/√n)`).
+//! `‖w^{-1}(v̄ − v)‖_∞ ≤ ε`, in output-sensitive work: per dyadic time
+//! scale `2^j` a HeavyHitter (Lemma B.1) query detects the coordinates
+//! whose accumulated drift `(A·f^{(j)})_i` could have crossed the
+//! threshold `0.2·w_i·ε/log n`; only those are recomputed exactly. The
+//! structure reinitializes itself every `T = Θ(√n)` steps (amortized
+//! `Õ(m/√n)`).
 //!
-//! Deviation from Algorithm 9: the paper *pauses* detector tracking of
-//! freshly-synced coordinates (`D_j.Scale(J, 0)` + resume at the epoch
-//! boundary) to tighten the work bound. Structural weight moves are far
-//! more expensive than the `O(1)` re-verification of a spurious
-//! candidate in practice, so we keep detector weights fixed between
-//! reinitializations and simply re-verify candidates (DESIGN.md §2).
+//! Deviations from Algorithm 9 (DESIGN.md §2):
+//!
+//! * The paper *pauses* detector tracking of freshly-synced coordinates
+//!   (`D_j.Scale(J, 0)` + resume at the epoch boundary) to tighten the
+//!   work bound. Structural weight moves are far more expensive than the
+//!   `O(1)` re-verification of a spurious candidate in practice, so
+//!   detector weights stay fixed between reinitializations and
+//!   candidates are simply re-verified.
+//! * Without pausing, the paper's per-scale detectors would all hold the
+//!   same weights `1/w` for their whole life, and a heavy query returns
+//!   the exact heavy set whatever the detector's seed. So one
+//!   HeavyHitter serves every scale: scale `j` queries it with its own
+//!   `f^{(j)}` on its own `2^j` schedule.
+//! * `SetAccuracy` is not implemented: the IPM fixes the accuracies at
+//!   each (re)initialization and never changes them.
 
 use crate::heavy_hitter::HeavyHitter;
 use pmcf_graph::DiGraph;
@@ -32,8 +42,8 @@ pub struct DualMaintenance {
     fhat: Vec<f64>,
     /// Per scale j: accumulated h over the current 2^j-epoch.
     f_epoch: Vec<Vec<f64>>,
-    /// Per scale j: HeavyHitter over weights 1/w.
-    detectors: Vec<HeavyHitter>,
+    /// The one HeavyHitter over weights 1/w that every scale queries.
+    detector: HeavyHitter,
     t_step: usize,
     period: usize,
     seed: u64,
@@ -57,11 +67,7 @@ impl DualMaintenance {
         let period = ((n as f64).sqrt().ceil() as usize).max(4);
         let scales = (period as f64).log2().ceil() as usize + 1;
         let inv_w: Vec<f64> = w.iter().map(|&x| 1.0 / x).collect();
-        let detectors: Vec<HeavyHitter> = (0..scales)
-            .map(|j| {
-                HeavyHitter::initialize(t, graph.clone(), inv_w.clone(), seed ^ (j as u64) << 32)
-            })
-            .collect();
+        let detector = HeavyHitter::initialize(t, graph.clone(), inv_w, seed);
         DualMaintenance {
             vbar: v_init.clone(),
             fhat: vec![0.0; n],
@@ -73,7 +79,7 @@ impl DualMaintenance {
             v_init,
             w,
             eps,
-            detectors,
+            detector,
         }
     }
 
@@ -89,7 +95,7 @@ impl DualMaintenance {
     }
 
     /// Verify candidates: update `v̄_i` where the drift crossed the
-    /// threshold; pause detector tracking for updated coordinates.
+    /// threshold.
     fn verify(&mut self, t: &mut Tracker, candidates: &[usize]) -> Vec<usize> {
         let mut changed = Vec::new();
         for &i in candidates {
@@ -101,21 +107,6 @@ impl DualMaintenance {
         }
         t.charge(Cost::par_flat(candidates.len().max(1) as u64));
         changed
-    }
-
-    /// Tighten/loosen accuracies (`SetAccuracy`): `Õ(|I|)` amortized.
-    pub fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        for &(i, d) in updates {
-            assert!(d > 0.0);
-            self.w[i] = d;
-            self.vbar[i] = self.exact(i);
-        }
-        t.charge(Cost::par_flat(updates.len() as u64));
-        // detectors keep tracking with the *new* inverse-accuracy weight
-        let reweight: Vec<(usize, f64)> = updates.iter().map(|&(i, d)| (i, 1.0 / d)).collect();
-        for j in 0..self.detectors.len() {
-            self.detectors[j].scale(t, &reweight);
-        }
     }
 
     /// One step (`Add`): `v ← v + A·h`; returns `(changed indices, v̄)`.
@@ -146,15 +137,14 @@ impl DualMaintenance {
 
         let mut candidates = Vec::new();
         let log_n = (self.graph.n().max(4) as f64).log2();
-        for j in 0..self.detectors.len() {
-            for (f, &hi) in self.f_epoch[j].iter_mut().zip(h) {
+        for (j, f_j) in self.f_epoch.iter_mut().enumerate() {
+            for (f, &hi) in f_j.iter_mut().zip(h) {
                 *f += hi;
             }
             if self.t_step.is_multiple_of(1usize << j) {
                 let eps_q = 0.2 * self.eps / log_n;
-                let found = self.detectors[j].heavy_query(t, &self.f_epoch[j], eps_q);
-                candidates.extend(found);
-                self.f_epoch[j].fill(0.0);
+                candidates.extend(self.detector.heavy_query(t, f_j, eps_q));
+                f_j.fill(0.0);
             }
         }
         t.charge(Cost::par_flat(self.graph.n() as u64)); // epoch vector updates
@@ -250,19 +240,15 @@ mod tests {
     }
 
     #[test]
-    fn set_accuracy_resyncs() {
-        let g = generators::gnm_digraph(8, 20, 9);
-        let mut t = Tracker::new();
-        let mut dm =
-            DualMaintenance::initialize(&mut t, g.clone(), vec![0.0; 20], vec![10.0; 20], 0.5, 10);
-        let mut h = vec![0.0; 8];
-        h[1] = 1.0;
-        let _ = dm.add(&mut t, &h); // sloppy tolerance: may not report
-        dm.set_accuracy(&mut t, &[(5, 0.001)]);
-        // after tightening, coordinate 5 must be exact
-        let exact = dm.compute_exact(&mut t);
-        assert!((dm.vbar()[5] - exact[5]).abs() < 1e-12);
-        assert!(dm.max_weighted_error() <= 0.5 + 1e-9);
+    fn initialize_decomposes_each_edge_once() {
+        // n = 64 gives four time scales; all of them share one detector,
+        // so each edge enters an expander decomposition exactly once
+        let g = generators::gnm_digraph(64, 512, 13);
+        let mut t = Tracker::profiled();
+        let w: Vec<f64> = (0..512).map(|e| 0.5 + (e % 5) as f64).collect();
+        let _ = DualMaintenance::initialize(&mut t, g, vec![0.0; 512], w, 0.5, 14);
+        let counters = t.profile_report().expect("profiled").counters;
+        assert_eq!(counters["expander.inserted_edges"], 512);
     }
 
     #[test]

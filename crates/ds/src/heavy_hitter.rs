@@ -196,11 +196,6 @@ impl HeavyHitter {
         }
     }
 
-    /// The current weight of edge `e`.
-    pub fn weight(&self, e: EdgeId) -> f64 {
-        self.weights[e]
-    }
-
     /// Update weights `g_i ← s_i` (Lemma B.1 `Scale`): amortized `Õ(|I|)`
     /// work, `Õ(1)` depth.
     pub fn scale(&mut self, t: &mut Tracker, updates: &[(EdgeId, f64)]) {
@@ -438,59 +433,12 @@ impl HeavyHitter {
         out
     }
 
-    /// Sample every edge with probability at least `K'·σ(Diag(g)A)_e`
-    /// (Lemma B.1 `LeverageScoreSample`): per part, each vertex samples
-    /// its incident edges with `p_v = min(16K'/(φ²·deg_v), 1)`, repeated
-    /// `O(log n)` rounds.
-    pub fn leverage_score_sample(&mut self, t: &mut Tracker, k_scale: f64) -> Vec<EdgeId> {
-        t.span("ds/leverage-sample", |t| {
-            t.counter("hh.leverage_samples", 1);
-            let rounds = (self.graph.n().max(4) as f64).log2().ceil() as usize;
-            let mut out = Vec::new();
-            let mut touched = 0u64;
-            for class in self.classes.values() {
-                for view in class.ded.part_views() {
-                    for (lv, adj) in view.adj.iter().enumerate() {
-                        let deg = view.alive_deg[lv];
-                        if deg == 0 {
-                            continue;
-                        }
-                        let p = (16.0 * k_scale / (CLASS_PHI * CLASS_PHI * deg as f64)).min(1.0);
-                        for _ in 0..rounds {
-                            if p >= 1.0 {
-                                for &(_, le) in adj {
-                                    if view.alive_edge[le] {
-                                        out.push(class.edge_of[view.keys[le] as usize]);
-                                    }
-                                }
-                                touched += adj.len() as u64;
-                                break;
-                            }
-                            for &(_, le) in adj {
-                                touched += 1;
-                                if view.alive_edge[le] && self.rng.gen_bool(p) {
-                                    out.push(class.edge_of[view.keys[le] as usize]);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            t.charge(Cost::new(
-                touched.max(1),
-                pmcf_pram::par_depth(touched.max(1)),
-            ));
-            out.sort_unstable();
-            out.dedup();
-            out
-        })
-    }
-
     /// One-round spectral-sparsifier sampling: every vertex samples its
     /// incident alive edges with `p_v = min(1, k/deg_v)`, so edge `e` is
     /// kept with `p_e = 1−(1−p_u)(1−p_v) ≥ k/deg_max(e)` — proportional
-    /// to (an upper bound on) its intra-expander leverage score without
-    /// the `φ⁻²` union-bound slack of `leverage_score_sample`. Returns
+    /// to (an upper bound on) its intra-expander leverage score, without
+    /// the `φ⁻²` union-bound slack of Lemma B.1's `LeverageScoreSample`
+    /// (not implemented: the engine never calls it). Returns
     /// `(edge, p_e)` pairs for inverse-probability reweighting. Expected
     /// output and work `O(k·n)`.
     pub fn sparsify_sample(&mut self, t: &mut Tracker, k: f64) -> Vec<(EdgeId, f64)> {
@@ -581,32 +529,6 @@ impl HeavyHitter {
             })
             .collect()
     }
-
-    /// Lower bound on the probability each edge in `idx` is returned by
-    /// `leverage_score_sample(k_scale)` (Lemma B.1 `LeverageScoreBound`).
-    pub fn leverage_score_bound(&self, t: &mut Tracker, idx: &[EdgeId], k_scale: f64) -> Vec<f64> {
-        t.charge(Cost::par_flat(idx.len().max(1) as u64));
-        idx.iter()
-            .map(|&e| {
-                let Some(c) = self.class_of[e] else {
-                    return 0.0;
-                };
-                let class = &self.classes[&c];
-                let Some((view, le)) = class.ded.locate(self.key_of[e]) else {
-                    return 0.0;
-                };
-                if !view.alive_edge[le] {
-                    return 0.0;
-                }
-                let (lu, lv) = view.ends[le];
-                let du = view.alive_deg[lu].max(1) as f64;
-                let dv = view.alive_deg[lv].max(1) as f64;
-                let pu = (16.0 * k_scale / (CLASS_PHI * CLASS_PHI * du)).min(1.0);
-                let pv = (16.0 * k_scale / (CLASS_PHI * CLASS_PHI * dv)).min(1.0);
-                1.0 - (1.0 - pu) * (1.0 - pv)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -626,16 +548,22 @@ mod tests {
     #[test]
     fn finds_all_heavy_coordinates() {
         let g = generators::gnm_digraph(40, 200, 1);
-        let mut t = Tracker::new();
         let w: Vec<f64> = (0..200).map(|e| 0.5 + (e % 7) as f64).collect();
-        let hh = HeavyHitter::initialize(&mut t, g.clone(), w.clone(), 2);
         let h: Vec<f64> = (0..40)
             .map(|v| ((v * 31 % 17) as f64 - 8.0) / 8.0)
             .collect();
-        for eps in [0.5, 1.0, 3.0] {
-            let got = hh.heavy_query(&mut t, &h, eps);
-            let want = brute_heavy(&g, &w, &h, eps);
-            assert_eq!(got, want, "eps={eps}");
+        // the answer is the exact heavy set whatever the seed: the
+        // decomposition only bounds the work (`2 ^ (j << 32)` for j < 6
+        // are the seeds one detector per time scale would take)
+        let seeds = [2u64].into_iter().chain((0..6u64).map(|j| 2 ^ (j << 32)));
+        for seed in seeds {
+            let mut t = Tracker::new();
+            let hh = HeavyHitter::initialize(&mut t, g.clone(), w.clone(), seed);
+            for eps in [0.5, 1.0, 3.0] {
+                let got = hh.heavy_query(&mut t, &h, eps);
+                let want = brute_heavy(&g, &w, &h, eps);
+                assert_eq!(got, want, "seed={seed} eps={eps}");
+            }
         }
     }
 
@@ -722,8 +650,9 @@ mod tests {
 
     #[test]
     fn leverage_sample_covers_bridges() {
-        // a bridge has leverage 1 and lives in a tiny part, so p_v is
-        // large there — it must essentially always be sampled
+        // a bridge has leverage 1; the decomposition cuts the two cliques
+        // apart, so an endpoint of the bridge has intra-part degree 1 and
+        // the step sparsifier keeps it with probability 1 even at k = 1
         let mut edges = Vec::new();
         for base in [0usize, 10] {
             for u in 0..10 {
@@ -737,21 +666,17 @@ mod tests {
         let g = DiGraph::from_edges(20, edges);
         let mut t = Tracker::new();
         let mut hh = HeavyHitter::initialize(&mut t, g, vec![1.0; 91], 11);
-        let mut hits = 0;
         for _ in 0..10 {
-            if hh.leverage_score_sample(&mut t, 0.5).contains(&bridge) {
-                hits += 1;
-            }
+            let kept = hh.sparsify_sample(&mut t, 1.0);
+            assert!(kept.contains(&(bridge, 1.0)), "bridge not kept: {kept:?}");
         }
-        assert!(hits >= 9, "bridge sampled {hits}/10");
-        let b = hh.leverage_score_bound(&mut t, &[bridge], 0.5);
-        assert!(b[0] > 0.9);
+        assert_eq!(hh.sparsify_probability(&mut t, &[bridge], 1.0), vec![1.0]);
     }
 
     /// Drive two indices through an identical query sequence and demand
     /// byte-identical answers AND identical charged costs. Both consume
-    /// their rng in `sample`, so agreement across several rounds pins
-    /// the rng stream position too.
+    /// their rng in `sample` and `sparsify_sample`, so agreement across
+    /// several rounds pins the rng stream position too.
     fn assert_states_agree(a: &mut HeavyHitter, b: &mut HeavyHitter, n: usize, ctx: &str) {
         for salt in 0..3u64 {
             let h: Vec<f64> = (0..n)
@@ -769,9 +694,9 @@ mod tests {
                 "{ctx}: sample salt={salt}"
             );
             assert_eq!(
-                a.leverage_score_sample(&mut ta, 0.5),
-                b.leverage_score_sample(&mut tb, 0.5),
-                "{ctx}: leverage_score_sample salt={salt}"
+                a.sparsify_sample(&mut ta, 2.0),
+                b.sparsify_sample(&mut tb, 2.0),
+                "{ctx}: sparsify_sample salt={salt}"
             );
             assert_eq!(ta.work(), tb.work(), "{ctx}: charged work salt={salt}");
             assert_eq!(ta.depth(), tb.depth(), "{ctx}: charged depth salt={salt}");

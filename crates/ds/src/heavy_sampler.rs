@@ -66,8 +66,9 @@ impl HeavySampler {
 
     /// Output-sensitive spectral-sparsifier sampling: edges sampled with
     /// probability `p_e ≥ k_scale·σ_e` via the HeavyHitter's expander
-    /// parts (Lemma B.1 `LeverageScoreSample`), returned with their
-    /// sampling probabilities for inverse-probability reweighting.
+    /// parts (the role of Lemma B.1's `LeverageScoreSample`, played by
+    /// [`HeavyHitter::sparsify_sample`]), returned with their sampling
+    /// probabilities for inverse-probability reweighting.
     pub fn leverage_sample(&mut self, t: &mut Tracker, k_scale: f64) -> Vec<(usize, f64)> {
         self.hitter.sparsify_sample(t, k_scale)
     }

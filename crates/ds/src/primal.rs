@@ -68,11 +68,6 @@ impl PrimalGradient {
         self.accumulator.move_and_scale(t, &moves);
     }
 
-    /// Update accuracy weights (Theorem D.1 `SetAccuracy`).
-    pub fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        self.accumulator.set_accuracy(t, updates);
-    }
-
     /// `QueryProduct`: returns `v̄ = AᵀG(∇Ψ(z̄))^{♭(τ̄)} ∈ R^n`. Must be
     /// followed by [`PrimalGradient::query_sum`].
     pub fn query_product(&mut self, t: &mut Tracker) -> Vec<f64> {

@@ -17,6 +17,11 @@
 //! from before the next cascade replaces them, and then no pruner, no
 //! host subgraph copy and no pooled unit-flow state is made for them.
 //!
+//! With a flight recorder on, new and pruned parts are spot-checked for
+//! conductance under their own span, `expander/certify`, which charges
+//! nothing, so the check's time stays out of `expander/insert`'s and
+//! `expander/delete`'s self time.
+//!
 //! Parts use *compact* local vertex indexing and expose a [`PartView`]
 //! (vertex list, local adjacency, alive flags) so consumers — notably the
 //! HeavyHitter of Appendix B — can run per-part computations in work
@@ -318,18 +323,20 @@ impl DynamicExpanderDecomposition {
                     // spot-check that pruning left a φ-expander behind
                     // (Lemma 3.9) — only while a flight recorder is on
                     if pmcf_obs::recording() && part.view.alive_count > 0 {
-                        let alive_ends: Vec<(usize, usize)> = part
-                            .view
-                            .ends
-                            .iter()
-                            .enumerate()
-                            .filter(|&(le, _)| part.view.alive_edge[le])
-                            .map(|(_, &e)| e)
-                            .collect();
-                        let sub = UGraph::from_edges(part.view.verts.len(), alive_ends);
-                        let (certified, measured) =
-                            certify_part(&sub, self.phi, self.seed ^ 0xB007);
-                        let (alive, phi) = (part.view.alive_count, self.phi);
+                        let (phi, seed) = (self.phi, self.seed ^ 0xB007);
+                        let (certified, measured) = t.span("expander/certify", |_| {
+                            let alive_ends: Vec<(usize, usize)> = part
+                                .view
+                                .ends
+                                .iter()
+                                .enumerate()
+                                .filter(|&(le, _)| part.view.alive_edge[le])
+                                .map(|(_, &e)| e)
+                                .collect();
+                            let sub = UGraph::from_edges(part.view.verts.len(), alive_ends);
+                            certify_part(&sub, phi, seed)
+                        });
+                        let alive = part.view.alive_count;
                         let (deleted, n_spill) = (local_edges.len(), spilled.len());
                         pmcf_obs::emit_with("expander.prune", || {
                             let mut fields: Vec<(&'static str, pmcf_obs::JsonValue)> = vec![
@@ -435,8 +442,13 @@ impl DynamicExpanderDecomposition {
             let part_keys: Vec<EdgeKey> = part.edges.iter().map(|&e| all_keys[e]).collect();
             if certify && ends.len() > 2 && ends.len() <= CERTIFY_EDGE_LIMIT {
                 checked_parts += 1;
-                let sub = UGraph::from_edges(verts.len(), ends.clone());
-                let (ok, measured) = certify_part(&sub, self.phi, self.seed ^ 0xFACE);
+                // recorder-only check, charged to nothing: its own span
+                // keeps it out of `expander/insert`'s self time
+                let (phi, seed) = (self.phi, self.seed ^ 0xFACE);
+                let (ok, measured) = t.span("expander/certify", |_| {
+                    let sub = UGraph::from_edges(verts.len(), ends.clone());
+                    certify_part(&sub, phi, seed)
+                });
                 if !ok {
                     certified = false;
                     worst_measured = Some(

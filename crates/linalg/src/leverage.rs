@@ -122,8 +122,8 @@ pub fn estimate_leverage(
             ws.give(buf);
         }
         ws.give(sqrt_d);
-        t.counter("leverage.rhs_fresh", ws.fresh() - fresh0);
-        t.counter("leverage.rhs_reuse", ws.reused() - reuse0);
+        t.counter("sched.leverage_rhs_fresh", ws.fresh() - fresh0);
+        t.counter("sched.leverage_rhs_reuse", ws.reused() - reuse0);
         sigma
     })
 }

@@ -7,14 +7,19 @@
 //!   τ = σ( T^{1/2 − 1/p} · G · A ) + z        (z_e = n/m regularizer)
 //! ```
 //!
-//! The IPM uses `p = 1 − 1/(4 log(4m/n))`. We compute τ by fixed-point
-//! iteration, which contracts for `p < 2` (Cohen-Peng); the regularizer
-//! keeps every weight ≥ `n/m` so scalings stay bounded.
+//! The IPM uses `p = 1 − 1/(4 log(4m/n))` ([`ipm_p`]). The fixed point
+//! contracts for `p < 2` (Cohen-Peng); the regularizer keeps every
+//! weight ≥ `n/m` so scalings stay bounded.
+//!
+//! The engines never iterate this fixed point with sketched leverage
+//! scores: the robust IPM refreshes τ from one sketched leverage pass at
+//! its epoch boundaries and maintains it in between
+//! (`pmcf_ds::lewis_maint`). What stays here is the exponent and the
+//! exact fixed point with its residual, which the tests use as an
+//! oracle.
 
-use crate::leverage::{estimate_leverage, exact_leverage};
-use crate::solver::LaplacianSolver;
+use crate::leverage::exact_leverage;
 use pmcf_graph::DiGraph;
-use pmcf_pram::{Cost, Tracker};
 
 /// The Lewis-weight exponent the IPM uses: `p = 1 − 1/(4·log(4m/n))`.
 pub fn ipm_p(n: usize, m: usize) -> f64 {
@@ -50,47 +55,6 @@ pub fn exact_lewis_weights(
     tau
 }
 
-/// Fixed-point computation with sketched leverage scores.
-///
-/// `scale` is the diagonal of `G`; `z` the regularizer (`n/m` in the IPM);
-/// `eps` the per-round leverage accuracy. Work: `iters · Õ(m/ε²)` in the
-/// cost model; depth `Õ(iters)`.
-#[allow(clippy::too_many_arguments)]
-pub fn lewis_weights(
-    t: &mut Tracker,
-    solver: &LaplacianSolver,
-    scale: &[f64],
-    p: f64,
-    z: f64,
-    iters: usize,
-    eps: f64,
-    seed: u64,
-) -> Vec<f64> {
-    let m = solver.graph().m();
-    assert_eq!(scale.len(), m);
-    assert!(p > 0.0 && p < 2.0, "fixed point requires p ∈ (0,2)");
-    assert!(z > 0.0, "regularizer must be positive");
-    t.span("linalg/lewis", |t| {
-        t.counter("lewis.fixed_points", 1);
-        t.observe("lewis.rounds", iters as u64);
-        let mut tau = vec![(2.0 * z).min(1.0).max(z); m];
-        for round in 0..iters {
-            let d: Vec<f64> = tau
-                .iter()
-                .zip(scale)
-                .map(|(&tw, &s)| tw.powf(1.0 - 2.0 / p) * s * s)
-                .collect();
-            t.charge(Cost::par_flat(m as u64));
-            let sigma = estimate_leverage(t, solver, &d, eps, seed.wrapping_add(round as u64));
-            for (te, se) in tau.iter_mut().zip(&sigma) {
-                *te = se + z;
-            }
-            t.charge(Cost::par_flat(m as u64));
-        }
-        tau
-    })
-}
-
 /// Verify the Lewis-weight fixed point residual `‖τ − σ(...) − z‖_∞ / ‖τ‖_∞`
 /// using exact leverage scores (diagnostic / tests).
 pub fn fixed_point_residual(
@@ -116,7 +80,6 @@ pub fn fixed_point_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverOpts;
     use pmcf_graph::generators;
 
     #[test]
@@ -137,20 +100,6 @@ mod tests {
         let sum: f64 = tau.iter().sum();
         assert!((sum - 19.0).abs() < 0.5, "Στ = {sum}");
         assert!(tau.iter().all(|&t| t >= z));
-    }
-
-    #[test]
-    fn sketched_weights_close_to_exact() {
-        let g = generators::gnm_digraph(12, 50, 2);
-        let p = ipm_p(12, 50);
-        let z = 12.0 / 50.0;
-        let exact = exact_lewis_weights(&g, &vec![1.0; 50], 0, p, z, 25);
-        let solver = LaplacianSolver::new(g, 0, SolverOpts::default());
-        let mut t = Tracker::new();
-        let est = lewis_weights(&mut t, &solver, &vec![1.0; 50], p, z, 12, 0.2, 7);
-        for (e, (a, b)) in est.iter().zip(&exact).enumerate() {
-            assert!((a - b).abs() < 0.4 * b, "edge {e}: {a} vs {b}");
-        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`sketch`] — Johnson-Lindenstrauss sketching,
 //! * [`leverage`] — leverage-score estimation `σ(√D·A)` by sketched
 //!   solves (the `Õ(1/ε²)`-solve scheme referenced in Theorem C.2),
-//! * [`lewis`] — regularized `ℓ_p` Lewis weights by fixed-point iteration
-//!   (paper eq. (2) and Appendix A "Leverage Scores and Lewis-Weights").
+//! * [`lewis`] — the IPM's Lewis exponent `p` and the exact regularized
+//!   `ℓ_p` Lewis-weight fixed point, a test oracle (paper eq. (2) and
+//!   Appendix A "Leverage Scores and Lewis-Weights").
 
 pub mod dense;
 pub mod leverage;

@@ -15,12 +15,10 @@
 //! diagonals, so the solver carries state worth reusing:
 //!
 //! * **Preconditioner cache** — the Jacobi diagonal is keyed on an
-//!   optional caller-supplied `d` *generation* ([`SolveParams::d_gen`])
-//!   *and* a fingerprint of the graph topology (n, m, ground, edge
-//!   set), so repeated solves against the same `d` rebuild nothing
-//!   while a [`LaplacianSolver::retarget`] to a different graph can
-//!   never serve a stale diagonal even if the caller reuses a
-//!   generation.
+//!   optional caller-supplied `d` *generation* ([`SolveParams::d_gen`]),
+//!   so repeated solves against the same `d` rebuild nothing. The graph
+//!   and grounded vertex are fixed at construction, so the generation
+//!   alone identifies the diagonal.
 //! * **Warm starts** — [`RhsSpec::guess`] seeds CG from a previous
 //!   solution (`D` drifts slowly along the central path, so the previous
 //!   Newton direction is close). A guess is accepted only if it strictly
@@ -128,39 +126,12 @@ pub struct LaplacianSolver {
     graph: DiGraph,
     ground: usize,
     opts: SolverOpts,
-    /// Fingerprint of `(n, m, ground, edge set)`; part of the
-    /// preconditioner cache key so a topology change (via
-    /// [`LaplacianSolver::retarget`]) can never serve a stale diagonal,
-    /// even when the caller reuses a `d_gen`.
-    topo_fp: u64,
-    /// `(topo_fp, d_gen, minv)` of the most recently built keyed
-    /// preconditioner.
-    cache: Mutex<Option<PrecondCacheEntry>>,
+    /// `(d_gen, minv)` of the most recently built keyed preconditioner.
+    cache: Mutex<Option<(u64, Arc<Vec<f64>>)>>,
     /// Fallback buffer pool for callers that don't supply
     /// [`SolveParams::ws`]; shared across the fork-join branches of
     /// [`LaplacianSolver::solve_batch`] and [`LaplacianSolver::solve_pair`].
     ws: Workspace,
-}
-
-/// `(topo_fp, d_gen, minv)` of a keyed Jacobi preconditioner.
-type PrecondCacheEntry = (u64, u64, Arc<Vec<f64>>);
-
-/// FNV-1a over the structural identity of a grounded graph: `n`, `m`,
-/// `ground`, and the full edge list in storage order.
-fn topology_fingerprint(graph: &DiGraph, ground: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(graph.n() as u64);
-    mix(graph.m() as u64);
-    mix(ground as u64);
-    for &(u, v) in graph.edges() {
-        mix(u as u64);
-        mix(v as u64);
-    }
-    h
 }
 
 impl LaplacianSolver {
@@ -169,33 +140,13 @@ impl LaplacianSolver {
     /// `A`; the graph must be connected for the system to be PD).
     pub fn new(graph: DiGraph, ground: usize, opts: SolverOpts) -> Self {
         assert!(ground < graph.n());
-        let topo_fp = topology_fingerprint(&graph, ground);
         LaplacianSolver {
             graph,
             ground,
             opts,
-            topo_fp,
             cache: Mutex::new(None),
             ws: Workspace::new(),
         }
-    }
-
-    /// Point the solver at a new graph (and ground), keeping the buffer
-    /// pool, options, and cache storage. The topology fingerprint is
-    /// recomputed, so any cached preconditioner keyed to the old graph
-    /// is unreachable — callers may keep reusing their `d_gen` scheme
-    /// across a retarget without risk of a stale Jacobi diagonal.
-    pub fn retarget(&mut self, graph: DiGraph, ground: usize) {
-        assert!(ground < graph.n());
-        self.topo_fp = topology_fingerprint(&graph, ground);
-        self.graph = graph;
-        self.ground = ground;
-    }
-
-    /// The fingerprint of `(n, m, ground, edge set)` used in the
-    /// preconditioner cache key.
-    pub fn topology(&self) -> u64 {
-        self.topo_fp
     }
 
     /// The solver's internal buffer pool (the arena used when a call
@@ -211,11 +162,6 @@ impl LaplacianSolver {
         &self.graph
     }
 
-    /// The grounded vertex.
-    pub fn ground(&self) -> usize {
-        self.ground
-    }
-
     /// Build (or fetch from cache) the Jacobi preconditioner for `d`.
     ///
     /// The diagonal is gathered vertex-parallel from the adjacency lists
@@ -226,8 +172,8 @@ impl LaplacianSolver {
         assert_eq!(d.len(), self.graph.m());
         if let Some(gen) = d_gen {
             let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some((cached_fp, cached_gen, minv)) = cache.as_ref() {
-                if *cached_fp == self.topo_fp && *cached_gen == gen {
+            if let Some((cached_gen, minv)) = cache.as_ref() {
+                if *cached_gen == gen {
                     t.counter("solver.precond_hits", 1);
                     return Precond {
                         minv: Arc::clone(minv),
@@ -255,8 +201,7 @@ impl LaplacianSolver {
             1.0 / s.max(1e-300)
         }));
         if let Some(gen) = d_gen {
-            *self.cache.lock().unwrap_or_else(|e| e.into_inner()) =
-                Some((self.topo_fp, gen, Arc::clone(&minv)));
+            *self.cache.lock().unwrap_or_else(|e| e.into_inner()) = Some((gen, Arc::clone(&minv)));
         }
         Precond { minv }
     }
@@ -788,49 +733,5 @@ mod tests {
         let rep = t.profile_report().unwrap();
         assert_eq!(rep.counters["solver.precond_builds"], 1);
         assert_eq!(rep.counters["solver.precond_hits"], 1);
-    }
-
-    /// Regression test for the poisoned-cache bug: a solver retargeted
-    /// to a *different* graph while the caller reuses the same `d_gen`
-    /// must rebuild the preconditioner (topology is part of the key) and
-    /// produce the same answer as a fresh solver on the new graph.
-    #[test]
-    fn retarget_with_reused_generation_rebuilds_preconditioner() {
-        let ga = generators::gnm_digraph(10, 30, 43);
-        // Same n and m, different edge set: the old key (n, m) alone —
-        // or d_gen alone — would collide.
-        let gb = generators::gnm_digraph(10, 30, 44);
-        assert_ne!(ga.edges(), gb.edges());
-        let d = vec![1.0f64; 30];
-        let mut b = vec![0.0f64; 10];
-        b[2] = 1.0;
-        b[6] = -1.0;
-
-        let mut solver = LaplacianSolver::new(ga, 0, SolverOpts::default());
-        let mut t = Tracker::profiled();
-        let params = SolveParams {
-            d_gen: Some(7),
-            ..Default::default()
-        };
-        let rhs = RhsSpec { b: &b, guess: None };
-        let _ = solver.solve_with(&mut t, &d, &rhs, &params);
-        let fp_a = solver.topology();
-        solver.retarget(gb.clone(), 0);
-        assert_ne!(fp_a, solver.topology(), "fingerprint must change");
-        let (x_retargeted, _) = solver.solve_with(&mut t, &d, &rhs, &params);
-        let rep = t.profile_report().unwrap();
-        assert_eq!(
-            rep.counters["solver.precond_builds"], 2,
-            "stale preconditioner served across a topology change"
-        );
-        assert!(!rep.counters.contains_key("solver.precond_hits"));
-
-        // The retargeted solve matches a fresh solver on the new graph.
-        let fresh = LaplacianSolver::new(gb, 0, SolverOpts::default());
-        let mut t2 = Tracker::new();
-        let (x_fresh, _) = fresh.solve_with(&mut t2, &d, &rhs, &params);
-        for (a, c) in x_retargeted.iter().zip(&x_fresh) {
-            assert!((a - c).abs() < 1e-8, "retargeted {} vs fresh {}", a, c);
-        }
     }
 }

@@ -8,8 +8,10 @@
 //! ```
 //!
 //! `--expect-identical-costs` turns the diff into an assertion: exit 1
-//! unless charged work/depth are bit-identical on every span (the
-//! cross-`RAYON_NUM_THREADS` determinism check; wall time is exempt).
+//! unless charged work/depth are bit-identical on every span and every
+//! counter outside `sched.*` is equal (the cross-`RAYON_NUM_THREADS`
+//! determinism check; wall time and the scheduling-dependent `sched.*`
+//! counters are exempt).
 //!
 //! Exit codes: 0 ok, 1 cost-identity assertion failed, 2 usage / I/O /
 //! parse error.
@@ -102,7 +104,7 @@ fn main() -> ExitCode {
             write_json(spec, &diff)?;
         }
         if cli.expect_identical && !diff.charged_costs_identical() {
-            eprintln!("report_diff: charged work/depth differ between runs:");
+            eprintln!("report_diff: charged work/depth or counters differ between runs:");
             for v in diff.charged_cost_violations().iter().take(20) {
                 eprintln!("  {v}");
             }

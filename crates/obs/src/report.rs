@@ -205,7 +205,8 @@ pub struct RunReport {
     pub depth: u64,
     /// Top-level spans of the profile tree.
     pub spans: Vec<SpanReport>,
-    /// Monotone counters (includes `pmcf.alloc.*` and solver counters).
+    /// Monotone counters (includes the scheduling-dependent `sched.*`
+    /// pool counters and the solver counters).
     pub counters: BTreeMap<String, u64>,
     /// Critical-path attribution, when the depth ledger ran.
     pub critpath: Option<CritPathReport>,

@@ -4,8 +4,9 @@
 //! (segments joined with the critical-path ledger's `" > "` separator),
 //! producing one [`SpanDelta`] per path — kept, added, or removed — with
 //! exact per-span deltas of work, depth, wall time, and call counts,
-//! plus counter deltas (which cover `pmcf.alloc.*` and the solver's CG
-//! totals) and per-engine convergence aggregates.
+//! plus counter deltas (which cover the solver's CG totals and the
+//! scheduling-dependent `sched.*` pool counters) and per-engine
+//! convergence aggregates.
 //!
 //! Span work/depth in a profile are **inclusive**: inflating one leaf
 //! inflates every ancestor by the same amount. Ranking therefore sorts
@@ -14,10 +15,12 @@
 //!
 //! Because charged work/depth are a deterministic accounting — bit
 //! identical across `RAYON_NUM_THREADS` — two identical-seed runs must
-//! show *zero* work/depth delta on every span; anything else is a real
-//! behavioral difference. [`ReportDiff::charged_costs_identical`] checks
-//! exactly that (wall time is excluded — it is honest clock time and
-//! never identical).
+//! show *zero* work/depth delta on every span, and equal counters
+//! outside `sched.*`; anything else is a real behavioral difference.
+//! [`ReportDiff::charged_costs_identical`] checks exactly that (wall
+//! time is excluded — it is honest clock time and never identical — and
+//! so are the `sched.*` counters, which count pool checkouts whose
+//! outcome depends on how fork-join branches interleave).
 //!
 //! The result serializes as `pmcf.reportdiff/v1`
 //! ([`ReportDiff::to_json`]) and renders as
@@ -145,6 +148,12 @@ impl CounterDelta {
     pub fn delta(&self) -> i64 {
         self.cand.unwrap_or(0) as i64 - self.base.unwrap_or(0) as i64
     }
+}
+
+/// Whether `c` moved although it counts the computation itself, not
+/// how the pool scheduled it (`sched.*`).
+fn deterministic_counter_moved(c: &CounterDelta) -> bool {
+    !c.name.starts_with("sched.") && c.delta() != 0
 }
 
 /// Per-engine convergence aggregates across the two runs.
@@ -338,10 +347,12 @@ impl ReportDiff {
     }
 
     /// Whether the two runs charged identical work and depth — totals
-    /// and every span, with no span added or removed. This is the
+    /// and every span, with no span added or removed — and counted the
+    /// same value on every counter outside `sched.*`. This is the
     /// cross-thread-count determinism check: same seed, different
-    /// `RAYON_NUM_THREADS` must return `true`. Wall time and pool
-    /// telemetry are ignored (honest clock time differs).
+    /// `RAYON_NUM_THREADS` must return `true`. Wall time, pool telemetry
+    /// and the `sched.*` counters are ignored (they depend on the
+    /// clock and on scheduling).
     pub fn charged_costs_identical(&self) -> bool {
         self.base_work == self.cand_work
             && self.base_depth == self.cand_depth
@@ -349,6 +360,7 @@ impl ReportDiff {
                 .spans
                 .iter()
                 .all(|d| d.status == DiffStatus::Kept && d.d_work() == 0 && d.d_depth() == 0)
+            && !self.counters.iter().any(deterministic_counter_moved)
     }
 
     /// Span paths violating [`charged_costs_identical`], with their
@@ -377,6 +389,11 @@ impl ReportDiff {
                     d.d_work(),
                     d.d_depth()
                 ));
+            }
+        }
+        for c in &self.counters {
+            if deterministic_counter_moved(c) {
+                out.push(format!("counter {} (Δ {:+})", c.name, c.delta()));
             }
         }
         out
@@ -641,7 +658,7 @@ mod tests {
     #[test]
     fn counters_and_convergence_diff() {
         let mut base = report("base", vec![]);
-        base.counters.insert("pmcf.alloc.fresh".into(), 10);
+        base.counters.insert("sched.alloc.fresh".into(), 10);
         base.counters
             .insert("solver.cg_iterations_total".into(), 100);
         base.convergence.push(IpmIterRow {
@@ -656,8 +673,8 @@ mod tests {
             depth: 0,
         });
         let mut cand = report("cand", vec![]);
-        cand.counters.insert("pmcf.alloc.fresh".into(), 2);
-        cand.counters.insert("pmcf.alloc.reuse".into(), 8);
+        cand.counters.insert("sched.alloc.fresh".into(), 2);
+        cand.counters.insert("sched.alloc.reuse".into(), 8);
         cand.convergence.push(IpmIterRow {
             engine: "robust".into(),
             iteration: 1,
@@ -681,16 +698,24 @@ mod tests {
             depth: 0,
         });
         let d = diff_reports(&base, &cand);
+        // only the solver counter counts the computation itself
+        assert_eq!(
+            d.charged_cost_violations(),
+            vec!["counter solver.cg_iterations_total (Δ -100)".to_string()]
+        );
+        cand.counters
+            .insert("solver.cg_iterations_total".into(), 100);
+        assert!(diff_reports(&base, &cand).charged_costs_identical());
         let fresh = d
             .counters
             .iter()
-            .find(|c| c.name == "pmcf.alloc.fresh")
+            .find(|c| c.name == "sched.alloc.fresh")
             .unwrap();
         assert_eq!(fresh.delta(), -8);
         let reuse = d
             .counters
             .iter()
-            .find(|c| c.name == "pmcf.alloc.reuse")
+            .find(|c| c.name == "sched.alloc.reuse")
             .unwrap();
         assert_eq!((reuse.base, reuse.cand), (None, Some(8)));
         let gone = d

@@ -5,10 +5,14 @@
 //! dominant heap churn of a solve. A [`Workspace`] pools returned
 //! buffers by capacity class so steady-state iterations recycle instead
 //! of allocating: the first few checkouts of each length class hit the
-//! allocator (`pmcf.alloc.fresh`), everything after is a pop off the
-//! free list (`pmcf.alloc.reuse`). Both counters feed the metrics
+//! allocator (`sched.alloc.fresh`), everything after is a pop off the
+//! free list (`sched.alloc.reuse`). Both counters feed the metrics
 //! registry of the supplied [`Tracker`], so reuse is observable in any
 //! profiled run (a `PMCF_REPORT` session profiles every bench tracker).
+//! Which checkout finds a pooled buffer depends on how the fork-join
+//! branches interleave, so the counters live in the `sched.*` namespace:
+//! `report_diff --expect-identical-costs` compares every counter except
+//! those.
 //!
 //! Ownership discipline makes aliasing impossible by construction: a
 //! checkout *moves* a `Vec<f64>` out of the pool and a checkin moves it
@@ -59,18 +63,18 @@ impl Workspace {
     /// Check out a zeroed buffer of exactly `len` elements.
     ///
     /// Reuses a pooled buffer whose capacity fits when one exists
-    /// (counted as `pmcf.alloc.reuse`); otherwise allocates fresh
-    /// (`pmcf.alloc.fresh`).
+    /// (counted as `sched.alloc.reuse`); otherwise allocates fresh
+    /// (`sched.alloc.fresh`).
     pub fn take(&self, t: &mut Tracker, len: usize) -> Vec<f64> {
         match self.pop_fitting(len) {
             Some(mut buf) => {
-                t.counter("pmcf.alloc.reuse", 1);
+                t.counter("sched.alloc.reuse", 1);
                 buf.clear();
                 buf.resize(len, 0.0);
                 buf
             }
             None => {
-                t.counter("pmcf.alloc.fresh", 1);
+                t.counter("sched.alloc.fresh", 1);
                 self.fresh.fetch_add(1, Ordering::Relaxed);
                 vec![0.0; len]
             }
@@ -82,13 +86,13 @@ impl Workspace {
     pub fn take_copy(&self, t: &mut Tracker, src: &[f64]) -> Vec<f64> {
         match self.pop_fitting(src.len()) {
             Some(mut buf) => {
-                t.counter("pmcf.alloc.reuse", 1);
+                t.counter("sched.alloc.reuse", 1);
                 buf.clear();
                 buf.extend_from_slice(src);
                 buf
             }
             None => {
-                t.counter("pmcf.alloc.fresh", 1);
+                t.counter("sched.alloc.fresh", 1);
                 self.fresh.fetch_add(1, Ordering::Relaxed);
                 src.to_vec()
             }
@@ -206,8 +210,8 @@ mod tests {
         let b = ws.take(&mut t, 16);
         ws.give(b);
         let rep = t.profile_report().unwrap();
-        assert_eq!(rep.counters["pmcf.alloc.fresh"], 1);
-        assert_eq!(rep.counters["pmcf.alloc.reuse"], 1);
+        assert_eq!(rep.counters["sched.alloc.fresh"], 1);
+        assert_eq!(rep.counters["sched.alloc.reuse"], 1);
     }
 
     #[test]
