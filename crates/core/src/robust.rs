@@ -421,69 +421,71 @@ pub(crate) fn follow(
             // draw leaves `step_solver` empty for a full-matrix fallback.
             let log_n = (n.max(4) as f64).log2();
             if step_solver.is_none() {
-                // high-leverage edges kept deterministically (conditioning),
-                // light edges sampled ∝ local degree within expander parts
-                let heavy = rs.hs.tau_above(t, 1.0 / (4.0 * log_n));
-                let lev_sample = rs.hs.leverage_sample(t, 4.0 * log_n);
-                let mut h_edges = Vec::with_capacity(heavy.len() + lev_sample.len());
-                let mut edge_ids = Vec::with_capacity(heavy.len() + lev_sample.len());
-                let mut inv_p = Vec::with_capacity(heavy.len() + lev_sample.len());
-                let mut in_heavy = std::collections::HashSet::with_capacity(heavy.len());
-                for &e in &heavy {
-                    in_heavy.insert(e);
-                    h_edges.push(p.graph.endpoints(e));
-                    edge_ids.push(e);
-                    inv_p.push(1.0);
-                }
-                for &(e, pe) in &lev_sample {
-                    if in_heavy.contains(&e) {
-                        continue;
+                t.span("ipm/step-sparsifier", |t| {
+                    // high-leverage edges kept deterministically (conditioning),
+                    // light edges sampled ∝ local degree within expander parts
+                    let heavy = rs.hs.tau_above(t, 1.0 / (4.0 * log_n));
+                    let lev_sample = rs.hs.leverage_sample(t, 4.0 * log_n);
+                    let mut h_edges = Vec::with_capacity(heavy.len() + lev_sample.len());
+                    let mut edge_ids = Vec::with_capacity(heavy.len() + lev_sample.len());
+                    let mut inv_p = Vec::with_capacity(heavy.len() + lev_sample.len());
+                    let mut in_heavy = std::collections::HashSet::with_capacity(heavy.len());
+                    for &e in &heavy {
+                        in_heavy.insert(e);
+                        h_edges.push(p.graph.endpoints(e));
+                        edge_ids.push(e);
+                        inv_p.push(1.0);
                     }
-                    h_edges.push(p.graph.endpoints(e));
-                    edge_ids.push(e);
-                    inv_p.push(1.0 / pe.max(1e-9));
-                }
-                t.charge(Cost::par_flat(
-                    (heavy.len() + lev_sample.len()).max(1) as u64
-                ));
-                // the sample must keep the graph connected (parallel
-                // label-propagation check, Õ(sample) work)
-                let ug = pmcf_graph::UGraph::from_edges(n, h_edges.clone());
-                if pmcf_graph::connectivity::parallel_components(t, &ug).1 == 1 {
-                    let weights: Vec<f64> = edge_ids
-                        .iter()
-                        .zip(&inv_p)
-                        .map(|(&e, &ip)| d_weight(&rs, &cap, e) * ip)
-                        .collect();
-                    let mut slot_of = vec![usize::MAX; m];
-                    for (slot, &e) in edge_ids.iter().enumerate() {
-                        slot_of[e] = slot;
+                    for &(e, pe) in &lev_sample {
+                        if in_heavy.contains(&e) {
+                            continue;
+                        }
+                        h_edges.push(p.graph.endpoints(e));
+                        edge_ids.push(e);
+                        inv_p.push(1.0 / pe.max(1e-9));
                     }
-                    t.charge(Cost::par_flat(m.max(1) as u64));
-                    step_solver = Some(StepSolver {
-                        // loose per-step tolerance: the sampled correction
-                        // only needs the right direction — solve error
-                        // lands in the maintained infeasibility, gets
-                        // re-targeted by the next step's δ_c, and is wiped
-                        // by the epoch exactification
-                        solver: LaplacianSolver::new(
-                            DiGraph::from_edges(n, h_edges),
-                            0,
-                            SolverOpts {
-                                tol: 5e-2,
-                                max_iter: 40,
-                            },
-                        ),
-                        inv_p,
-                        weights,
-                        slot_of,
-                        gen: 1,
-                    });
-                } else {
-                    // degenerate sample: full matrix this step, resample
-                    // on the next one (the sampler's RNG has advanced)
-                    t.counter("ipm.sparsifier_fallbacks", 1);
-                }
+                    t.charge(Cost::par_flat(
+                        (heavy.len() + lev_sample.len()).max(1) as u64
+                    ));
+                    // the sample must keep the graph connected (parallel
+                    // label-propagation check, Õ(sample) work)
+                    let ug = pmcf_graph::UGraph::from_edges(n, h_edges.clone());
+                    if pmcf_graph::connectivity::parallel_components(t, &ug).1 == 1 {
+                        let weights: Vec<f64> = edge_ids
+                            .iter()
+                            .zip(&inv_p)
+                            .map(|(&e, &ip)| d_weight(&rs, &cap, e) * ip)
+                            .collect();
+                        let mut slot_of = vec![usize::MAX; m];
+                        for (slot, &e) in edge_ids.iter().enumerate() {
+                            slot_of[e] = slot;
+                        }
+                        t.charge(Cost::par_flat(m.max(1) as u64));
+                        step_solver = Some(StepSolver {
+                            // loose per-step tolerance: the sampled correction
+                            // only needs the right direction — solve error
+                            // lands in the maintained infeasibility, gets
+                            // re-targeted by the next step's δ_c, and is wiped
+                            // by the epoch exactification
+                            solver: LaplacianSolver::new(
+                                DiGraph::from_edges(n, h_edges),
+                                0,
+                                SolverOpts {
+                                    tol: 5e-2,
+                                    max_iter: 40,
+                                },
+                            ),
+                            inv_p,
+                            weights,
+                            slot_of,
+                            gen: 1,
+                        });
+                    } else {
+                        // degenerate sample: full matrix this step, resample
+                        // on the next one (the sampler's RNG has advanced)
+                        t.counter("ipm.sparsifier_fallbacks", 1);
+                    }
+                });
             }
             let mut rhs_y = ws.take_copy(t, &vbar);
             rhs_y[0] = 0.0;
@@ -615,6 +617,7 @@ pub(crate) fn follow(
             }
 
             // refresh per-coordinate state for everything that moved
+            let refresh = t.span_guard("ipm/refresh");
             let mut dirty: Vec<usize> = j_x.into_iter().chain(j_s).chain(tau_updates).collect();
             dirty.sort_unstable();
             dirty.dedup();
@@ -643,6 +646,7 @@ pub(crate) fn follow(
                     pushed.push((e, d2));
                 }
             }
+            drop(refresh);
             rs.pg.update(t, &pg_updates);
             rs.lm.scale(t, &lm_updates);
             rs.hs.scale(t, &hs_updates);

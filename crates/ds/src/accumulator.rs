@@ -9,18 +9,20 @@
 //! without touching all `m` coordinates per step: per bucket `k` only the
 //! cumulative step sum `f_k = Σ_ℓ s_k^{(ℓ)}` advances; a coordinate is
 //! lazily synced when its accumulated drift `|g_i (f_k − f_k^{sync_i})|`
-//! could exceed its accuracy `ε_i/10`. Two ordered maps per bucket (by
-//! upper / lower drift threshold) make finding violators
-//! output-sensitive.
+//! could exceed its accuracy `ε_i/10`. Per bucket, two indexed min-heaps
+//! hold each coordinate's upper and lower drift threshold, and a
+//! position map per coordinate lets a sync re-key it in place, so finding
+//! violators is output-sensitive and no heap holds a stale entry. A step
+//! arrives as sparse `(k, s_k)` pairs and only those buckets are
+//! searched: a bucket whose `f_k` did not move has no violator.
 //!
 //! The IPM's per-step refresh moves a coordinate's bucket and rescales
-//! it in one [`GradientAccumulator::move_and_scale`] call: one removal
-//! of the old thresholds, one sync against the old bucket and scale, one
-//! insertion of the new thresholds. It reaches the state of Lemma D.5's
-//! `Move` followed by `Scale`, bit for bit.
+//! it in one [`GradientAccumulator::move_and_scale`] call: one sync
+//! against the old bucket and scale, one move of its thresholds. It
+//! reaches the state of Lemma D.5's `Move` followed by `Scale`, bit for
+//! bit.
 
 use pmcf_pram::{Cost, Tracker};
-use std::collections::BTreeMap;
 
 /// Monotone order-preserving mapping f64 → u64 (total order, NaN-free).
 fn okey(x: f64) -> u64 {
@@ -29,6 +31,99 @@ fn okey(x: f64) -> u64 {
         !b
     } else {
         b | (1 << 63)
+    }
+}
+
+/// One binary min-heap of `(key, coordinate)` per bucket, with every
+/// coordinate's slot in its bucket's heap.
+struct KeyedHeaps {
+    heap: Vec<Vec<(u64, u32)>>,
+    slot: Vec<u32>,
+}
+
+impl KeyedHeaps {
+    /// Empty heaps, each sized for the coordinates `bucket` puts in it.
+    fn new(bucket: &[usize], buckets: usize) -> Self {
+        let mut size = vec![0; buckets];
+        for &b in bucket {
+            size[b] += 1;
+        }
+        KeyedHeaps {
+            heap: size.into_iter().map(Vec::with_capacity).collect(),
+            slot: vec![0; bucket.len()],
+        }
+    }
+
+    /// The smallest key of bucket `b` and its coordinate.
+    fn min(&self, b: usize) -> Option<(u64, usize)> {
+        self.heap[b].first().map(|&(key, i)| (key, i as usize))
+    }
+
+    fn push(&mut self, b: usize, i: usize, key: u64) {
+        let at = self.heap[b].len();
+        self.heap[b].push((key, i as u32));
+        self.slot[i] = at as u32;
+        self.sift_up(b, at);
+    }
+
+    fn remove(&mut self, b: usize, i: usize) {
+        let at = self.slot[i] as usize;
+        let last = self.heap[b].pop().expect("coordinate in its bucket");
+        if at < self.heap[b].len() {
+            self.heap[b][at] = last;
+            self.slot[last.1 as usize] = at as u32;
+            self.settle(b, at);
+        }
+    }
+
+    fn rekey(&mut self, b: usize, i: usize, key: u64) {
+        let at = self.slot[i] as usize;
+        self.heap[b][at].0 = key;
+        self.settle(b, at);
+    }
+
+    /// Restore the heap order around slot `at` after its key changed.
+    fn settle(&mut self, b: usize, at: usize) {
+        if at > 0 && self.heap[b][at].0 < self.heap[b][(at - 1) / 2].0 {
+            self.sift_up(b, at);
+        } else {
+            self.sift_down(b, at);
+        }
+    }
+
+    fn sift_up(&mut self, b: usize, mut at: usize) {
+        let h = &mut self.heap[b];
+        while at > 0 {
+            let up = (at - 1) / 2;
+            if h[up].0 <= h[at].0 {
+                break;
+            }
+            h.swap(up, at);
+            self.slot[h[at].1 as usize] = at as u32;
+            at = up;
+        }
+        self.slot[h[at].1 as usize] = at as u32;
+    }
+
+    fn sift_down(&mut self, b: usize, mut at: usize) {
+        let h = &mut self.heap[b];
+        loop {
+            let (l, r) = (2 * at + 1, 2 * at + 2);
+            let mut least = at;
+            if l < h.len() && h[l].0 < h[least].0 {
+                least = l;
+            }
+            if r < h.len() && h[r].0 < h[least].0 {
+                least = r;
+            }
+            if least == at {
+                break;
+            }
+            h.swap(least, at);
+            self.slot[h[at].1 as usize] = at as u32;
+            at = least;
+        }
+        self.slot[h[at].1 as usize] = at as u32;
     }
 }
 
@@ -46,13 +141,11 @@ pub struct GradientAccumulator {
     f: Vec<f64>,
     /// Value of `f[bucket(i)]` when `xbar[i]` was last synced.
     fsync: Vec<f64>,
-    /// Per bucket: coordinates ordered by upper violation threshold.
-    hi: Vec<BTreeMap<(u64, usize), ()>>,
-    /// Per bucket: coordinates ordered by lower violation threshold
+    /// Per bucket: coordinates keyed by upper violation threshold.
+    hi: KeyedHeaps,
+    /// Per bucket: coordinates keyed by lower violation threshold
     /// (negated so smallest key = most urgent).
-    lo: Vec<BTreeMap<(u64, usize), ()>>,
-    /// Query counter.
-    t_step: usize,
+    lo: KeyedHeaps,
 }
 
 impl GradientAccumulator {
@@ -70,16 +163,16 @@ impl GradientAccumulator {
         assert_eq!(bucket.len(), m);
         assert_eq!(eps.len(), m);
         assert!(bucket.iter().all(|&b| b < num_buckets));
+        assert!(m <= u32::MAX as usize);
         let mut s = GradientAccumulator {
             xbar: x_init,
             g,
             eps,
-            bucket,
             f: vec![0.0; num_buckets],
             fsync: vec![0.0; m],
-            hi: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
-            lo: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
-            t_step: 0,
+            hi: KeyedHeaps::new(&bucket, num_buckets),
+            lo: KeyedHeaps::new(&bucket, num_buckets),
+            bucket,
         };
         for i in 0..m {
             s.insert_thresholds(i);
@@ -93,23 +186,35 @@ impl GradientAccumulator {
         (self.eps[i] / (10.0 * gi)).max(1e-300)
     }
 
+    /// Coordinate `i`'s `(upper, lower)` threshold keys.
+    fn thresholds(&self, i: usize) -> (u64, u64) {
+        let d = self.drift_allowance(i);
+        (okey(self.fsync[i] + d), okey(-(self.fsync[i] - d)))
+    }
+
     fn insert_thresholds(&mut self, i: usize) {
         let b = self.bucket[i];
-        let d = self.drift_allowance(i);
-        self.hi[b].insert((okey(self.fsync[i] + d), i), ());
-        self.lo[b].insert((okey(-(self.fsync[i] - d)), i), ());
+        let (hi, lo) = self.thresholds(i);
+        self.hi.push(b, i, hi);
+        self.lo.push(b, i, lo);
     }
 
     fn remove_thresholds(&mut self, i: usize) {
         let b = self.bucket[i];
-        let d = self.drift_allowance(i);
-        self.hi[b].remove(&(okey(self.fsync[i] + d), i));
-        self.lo[b].remove(&(okey(-(self.fsync[i] - d)), i));
+        self.hi.remove(b, i);
+        self.lo.remove(b, i);
+    }
+
+    /// Re-key coordinate `i`'s thresholds within its bucket.
+    fn rekey_thresholds(&mut self, i: usize) {
+        let b = self.bucket[i];
+        let (hi, lo) = self.thresholds(i);
+        self.hi.rekey(b, i, hi);
+        self.lo.rekey(b, i, lo);
     }
 
     /// Bring `xbar[i]` up to date (plus optional direct increment `h`).
     fn sync(&mut self, i: usize, h: f64, changed: &mut Vec<usize>) {
-        self.remove_thresholds(i);
         let b = self.bucket[i];
         let delta = self.g[i] * (self.f[b] - self.fsync[i]) + h;
         if delta != 0.0 {
@@ -117,7 +222,7 @@ impl GradientAccumulator {
             changed.push(i);
         }
         self.fsync[i] = self.f[b];
-        self.insert_thresholds(i);
+        self.rekey_thresholds(i);
     }
 
     /// Move coordinates to new buckets and rescale them, `(i, k, a)`:
@@ -130,43 +235,55 @@ impl GradientAccumulator {
         t.charge(Cost::par_flat(updates.len() as u64));
         t.charge(Cost::par_flat(updates.len() as u64));
         for &(i, k, a) in updates {
-            self.remove_thresholds(i);
-            let delta = self.g[i] * (self.f[self.bucket[i]] - self.fsync[i]);
+            let old = self.bucket[i];
+            let delta = self.g[i] * (self.f[old] - self.fsync[i]);
             if delta != 0.0 {
                 self.xbar[i] += delta;
             }
-            self.bucket[i] = k;
-            self.fsync[i] = self.f[k];
-            self.g[i] = a;
-            self.insert_thresholds(i);
+            if k == old {
+                self.fsync[i] = self.f[k];
+                self.g[i] = a;
+                self.rekey_thresholds(i);
+            } else {
+                self.remove_thresholds(i);
+                self.bucket[i] = k;
+                self.fsync[i] = self.f[k];
+                self.g[i] = a;
+                self.insert_thresholds(i);
+            }
         }
     }
 
-    /// One step (Lemma D.5 `Query`): advance every bucket by `s_k`, apply
-    /// the sparse direct increment `h`, and return `(x̄, J)` where `J`
-    /// lists coordinates whose `x̄` changed. Output-sensitive work.
-    pub fn query(&mut self, t: &mut Tracker, s: &[f64], h: &[(usize, f64)]) -> Vec<usize> {
-        assert_eq!(s.len(), self.f.len());
-        self.t_step += 1;
+    /// One step (Lemma D.5 `Query`): advance each listed bucket `k` by
+    /// `s_k` (an absent bucket takes no step), apply the sparse direct
+    /// increment `h`, and return `J`, the ascending coordinates whose
+    /// `x̄` changed. Output-sensitive work: one unit per step entry, per
+    /// increment and per violator.
+    pub fn query(
+        &mut self,
+        t: &mut Tracker,
+        steps: &[(usize, f64)],
+        h: &[(usize, f64)],
+    ) -> Vec<usize> {
         let mut changed = Vec::new();
-        for (fk, sk) in self.f.iter_mut().zip(s) {
-            *fk += sk;
+        for &(k, sk) in steps {
+            self.f[k] += sk;
         }
-        let mut touched = s.len() as u64 + h.len() as u64;
+        let mut touched = steps.len() as u64 + h.len() as u64;
         for &(i, hi) in h {
             self.sync(i, hi, &mut changed);
         }
-        // violators: f_k beyond a stored threshold
-        for k in 0..self.f.len() {
+        // violators: f_k beyond a stored threshold, in the moved buckets
+        for &(k, _) in steps {
             let fk = self.f[k];
-            while let Some((&(key, i), ())) = self.hi[k].iter().next() {
+            while let Some((key, i)) = self.hi.min(k) {
                 if key >= okey(fk) {
                     break;
                 }
                 self.sync(i, 0.0, &mut changed);
                 touched += 1;
             }
-            while let Some((&(key, i), ())) = self.lo[k].iter().next() {
+            while let Some((key, i)) = self.lo.min(k) {
                 if key >= okey(-fk) {
                     break;
                 }
@@ -204,6 +321,13 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// A dense per-bucket step as the sparse pairs `query` takes, every
+    /// bucket listed.
+    fn dense_steps(s: &[f64]) -> Vec<(usize, f64)> {
+        s.iter().copied().enumerate().collect()
+    }
 
     /// Reference: exact dense accumulation.
     struct Dense {
@@ -252,7 +376,7 @@ mod tests {
                 vec![]
             };
             dense.step(&s, &h);
-            let _ = acc.query(&mut t, &s, &h);
+            let _ = acc.query(&mut t, &dense_steps(&s), &h);
             for (i, (xb, dx)) in acc.xbar().iter().zip(&dense.x).enumerate() {
                 assert!(
                     (xb - dx).abs() <= eps[i] + 1e-12,
@@ -278,7 +402,7 @@ mod tests {
             2,
             vec![0.1; 3],
         );
-        let j = acc.query(&mut t, &[1.0, 0.0], &[]);
+        let j = acc.query(&mut t, &[(0, 1.0)], &[]);
         // bucket 0 moved by 1.0 ≫ ε/10: coordinates 0,1 must sync
         assert!(j.contains(&0) && j.contains(&1));
         assert!(!j.contains(&2));
@@ -298,7 +422,7 @@ mod tests {
         );
         t.reset();
         for _ in 0..5 {
-            let j = acc.query(&mut t, &[0.001], &[]);
+            let j = acc.query(&mut t, &[(0, 0.001)], &[]);
             assert!(j.is_empty());
         }
         // work must be O(steps), not O(m·steps)
@@ -367,8 +491,8 @@ mod tests {
                     vec![]
                 };
                 assert_eq!(
-                    fused.query(&mut ta, &s, &h),
-                    pair.query(&mut tb, &s, &h),
+                    fused.query(&mut ta, &dense_steps(&s), &h),
+                    pair.query(&mut tb, &dense_steps(&s), &h),
                     "seed {seed} step {step}: changed lists"
                 );
                 // distinct coordinates, each keeping its bucket, moving to
@@ -403,6 +527,248 @@ mod tests {
         }
     }
 
+    /// The accumulator before its thresholds moved from two `BTreeMap`s
+    /// per bucket into indexed heaps, verbatim but for the query counter
+    /// nothing read: the oracle the heaps must match bit for bit, in
+    /// `x̄`, in the changed lists and in charged work and depth.
+    struct BTreeAccumulator {
+        xbar: Vec<f64>,
+        g: Vec<f64>,
+        eps: Vec<f64>,
+        bucket: Vec<usize>,
+        f: Vec<f64>,
+        fsync: Vec<f64>,
+        hi: Vec<BTreeMap<(u64, usize), ()>>,
+        lo: Vec<BTreeMap<(u64, usize), ()>>,
+    }
+
+    impl BTreeAccumulator {
+        fn initialize(
+            t: &mut Tracker,
+            x_init: Vec<f64>,
+            g: Vec<f64>,
+            bucket: Vec<usize>,
+            num_buckets: usize,
+            eps: Vec<f64>,
+        ) -> Self {
+            let m = x_init.len();
+            let mut s = BTreeAccumulator {
+                xbar: x_init,
+                g,
+                eps,
+                bucket,
+                f: vec![0.0; num_buckets],
+                fsync: vec![0.0; m],
+                hi: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
+                lo: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
+            };
+            for i in 0..m {
+                s.insert_thresholds(i);
+            }
+            t.charge(Cost::sort(m as u64));
+            s
+        }
+
+        fn drift_allowance(&self, i: usize) -> f64 {
+            let gi = self.g[i].abs().max(1e-300);
+            (self.eps[i] / (10.0 * gi)).max(1e-300)
+        }
+
+        fn insert_thresholds(&mut self, i: usize) {
+            let b = self.bucket[i];
+            let d = self.drift_allowance(i);
+            self.hi[b].insert((okey(self.fsync[i] + d), i), ());
+            self.lo[b].insert((okey(-(self.fsync[i] - d)), i), ());
+        }
+
+        fn remove_thresholds(&mut self, i: usize) {
+            let b = self.bucket[i];
+            let d = self.drift_allowance(i);
+            self.hi[b].remove(&(okey(self.fsync[i] + d), i));
+            self.lo[b].remove(&(okey(-(self.fsync[i] - d)), i));
+        }
+
+        fn sync(&mut self, i: usize, h: f64, changed: &mut Vec<usize>) {
+            self.remove_thresholds(i);
+            let b = self.bucket[i];
+            let delta = self.g[i] * (self.f[b] - self.fsync[i]) + h;
+            if delta != 0.0 {
+                self.xbar[i] += delta;
+                changed.push(i);
+            }
+            self.fsync[i] = self.f[b];
+            self.insert_thresholds(i);
+        }
+
+        fn move_and_scale(&mut self, t: &mut Tracker, updates: &[(usize, usize, f64)]) {
+            t.charge(Cost::par_flat(updates.len() as u64));
+            t.charge(Cost::par_flat(updates.len() as u64));
+            for &(i, k, a) in updates {
+                self.remove_thresholds(i);
+                let delta = self.g[i] * (self.f[self.bucket[i]] - self.fsync[i]);
+                if delta != 0.0 {
+                    self.xbar[i] += delta;
+                }
+                self.bucket[i] = k;
+                self.fsync[i] = self.f[k];
+                self.g[i] = a;
+                self.insert_thresholds(i);
+            }
+        }
+
+        fn query(&mut self, t: &mut Tracker, s: &[f64], h: &[(usize, f64)]) -> Vec<usize> {
+            assert_eq!(s.len(), self.f.len());
+            let mut changed = Vec::new();
+            for (fk, sk) in self.f.iter_mut().zip(s) {
+                *fk += sk;
+            }
+            let mut touched = s.len() as u64 + h.len() as u64;
+            for &(i, hi) in h {
+                self.sync(i, hi, &mut changed);
+            }
+            // violators: f_k beyond a stored threshold
+            for k in 0..self.f.len() {
+                let fk = self.f[k];
+                while let Some((&(key, i), ())) = self.hi[k].iter().next() {
+                    if key >= okey(fk) {
+                        break;
+                    }
+                    self.sync(i, 0.0, &mut changed);
+                    touched += 1;
+                }
+                while let Some((&(key, i), ())) = self.lo[k].iter().next() {
+                    if key >= okey(-fk) {
+                        break;
+                    }
+                    self.sync(i, 0.0, &mut changed);
+                    touched += 1;
+                }
+            }
+            t.charge(Cost::new(
+                touched.max(1),
+                pmcf_pram::par_depth(touched.max(1)),
+            ));
+            changed.sort_unstable();
+            changed.dedup();
+            changed
+        }
+
+        fn compute_exact(&mut self, t: &mut Tracker) -> Vec<f64> {
+            let mut changed = Vec::new();
+            for i in 0..self.xbar.len() {
+                self.sync(i, 0.0, &mut changed);
+            }
+            t.charge(Cost::par_flat(self.xbar.len() as u64));
+            self.xbar.clone()
+        }
+    }
+
+    #[test]
+    fn accumulator_is_bit_identical_to_the_btree_oracle() {
+        for seed in 0..8u64 {
+            let (m, kk) = (64, 9);
+            let mut rng = SmallRng::seed_from_u64(0xACC0 + seed);
+            let x0: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let bucket: Vec<usize> = (0..m).map(|_| rng.gen_range(0..kk)).collect();
+            let eps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.001..0.05)).collect();
+            let (mut ta, mut tb, mut tc) = (Tracker::new(), Tracker::new(), Tracker::new());
+            let mut heaps = GradientAccumulator::initialize(
+                &mut ta,
+                x0.clone(),
+                g.clone(),
+                bucket.clone(),
+                kk,
+                eps.clone(),
+            );
+            // fed only the buckets that move: a bucket whose f_k stays put
+            // holds no violator, so it must reach the same state
+            let mut sparse = GradientAccumulator::initialize(
+                &mut tc,
+                x0.clone(),
+                g.clone(),
+                bucket.clone(),
+                kk,
+                eps.clone(),
+            );
+            let mut oracle = BTreeAccumulator::initialize(&mut tb, x0, g, bucket, kk, eps);
+            assert_eq!((ta.work(), ta.depth()), (tb.work(), tb.depth()));
+            for step in 0..40 {
+                // about a third of the buckets stay put each step
+                let s: Vec<f64> = (0..kk)
+                    .map(|_| {
+                        if rng.gen_bool(0.35) {
+                            0.0
+                        } else {
+                            rng.gen_range(-0.01..0.01)
+                        }
+                    })
+                    .collect();
+                // distinct direct increments, some large enough to cross
+                // several thresholds at once
+                let picked: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.1)).collect();
+                let mut h: Vec<(usize, f64)> = picked
+                    .into_iter()
+                    .map(|i| (i, rng.gen_range(-0.2..0.2)))
+                    .collect();
+                h.reverse();
+                let moved: Vec<(usize, f64)> = dense_steps(&s)
+                    .into_iter()
+                    .filter(|&(_, sk)| sk != 0.0)
+                    .collect();
+                let want = oracle.query(&mut tb, &s, &h);
+                assert_eq!(
+                    heaps.query(&mut ta, &dense_steps(&s), &h),
+                    want,
+                    "seed {seed} step {step}: changed lists"
+                );
+                assert_eq!(
+                    sparse.query(&mut tc, &moved, &h),
+                    want,
+                    "seed {seed} step {step}: changed lists, sparse steps"
+                );
+                // distinct coordinates, each keeping its bucket, moving to
+                // a new one, or flipping the sign of its scaling
+                let idx: Vec<usize> = (0..m).filter(|_| rng.gen_bool(0.4)).collect();
+                let updates: Vec<(usize, usize, f64)> = idx
+                    .into_iter()
+                    .map(|i| match rng.gen_range(0..3) {
+                        0 => (i, oracle.bucket[i], rng.gen_range(0.5..2.0)),
+                        1 => (i, rng.gen_range(0..kk), rng.gen_range(-2.0..2.0)),
+                        _ => (i, oracle.bucket[i], -oracle.g[i]),
+                    })
+                    .collect();
+                heaps.move_and_scale(&mut ta, &updates);
+                sparse.move_and_scale(&mut tc, &updates);
+                oracle.move_and_scale(&mut tb, &updates);
+                assert_eq!(
+                    bits(heaps.xbar()),
+                    bits(&oracle.xbar),
+                    "seed {seed} step {step}: xbar"
+                );
+                assert_eq!(
+                    bits(sparse.xbar()),
+                    bits(&oracle.xbar),
+                    "seed {seed} step {step}: xbar, sparse steps"
+                );
+                assert_eq!(ta.work(), tb.work(), "seed {seed} step {step}: work");
+                assert_eq!(ta.depth(), tb.depth(), "seed {seed} step {step}: depth");
+            }
+            assert_eq!(
+                bits(&heaps.compute_exact(&mut ta)),
+                bits(&oracle.compute_exact(&mut tb)),
+                "seed {seed}: exact sum"
+            );
+            assert_eq!(
+                bits(&sparse.compute_exact(&mut tc)),
+                bits(&oracle.xbar),
+                "seed {seed}: exact sum, sparse steps"
+            );
+            assert_eq!(ta.work(), tb.work(), "seed {seed}: work");
+            assert_eq!(ta.depth(), tb.depth(), "seed {seed}: depth");
+        }
+    }
+
     #[test]
     fn moves_and_scales_preserve_value() {
         let mut t = Tracker::new();
@@ -414,11 +780,11 @@ mod tests {
             2,
             vec![0.05; 2],
         );
-        acc.query(&mut t, &[1.0, 2.0], &[]);
+        acc.query(&mut t, &[(0, 1.0), (1, 2.0)], &[]);
         // x = [1, 2]; now move coord 0 to bucket 1 and scale it; future
         // steps use the new bucket/scale, past value preserved
         acc.move_and_scale(&mut t, &[(0, 1, 10.0)]);
-        acc.query(&mut t, &[0.0, 0.5], &[]);
+        acc.query(&mut t, &[(1, 0.5)], &[]);
         let exact = acc.compute_exact(&mut t);
         assert!((exact[0] - (1.0 + 10.0 * 0.5)).abs() < 1e-9, "{}", exact[0]);
         assert!((exact[1] - 2.5).abs() < 1e-9);

@@ -109,48 +109,53 @@ impl DualMaintenance {
         changed
     }
 
-    /// One step (`Add`): `v ← v + A·h`; returns `(changed indices, v̄)`.
+    /// One step (`Add`): `v ← v + A·h`; returns the indices where `v̄`
+    /// changed. Charged as the `n` accumulator updates plus the
+    /// `scales × n` epoch-vector updates, the queries and the
+    /// verification.
     pub fn add(&mut self, t: &mut Tracker, h: &[f64]) -> Vec<usize> {
         assert_eq!(h.len(), self.graph.n());
-        if self.t_step == self.period {
-            // reinitialize from the current exact state
-            let exact: Vec<f64> = (0..self.graph.m()).map(|i| self.exact(i)).collect();
-            t.charge(Cost::par_flat(self.graph.m() as u64));
-            let fresh = DualMaintenance::initialize(
-                t,
-                self.graph.clone(),
-                exact,
-                self.w.clone(),
-                self.eps,
-                self.seed.wrapping_add(1),
-            );
-            let vbar_old = std::mem::take(&mut self.vbar);
-            *self = fresh;
-            // keep the previously reported v̄ (still within tolerance)
-            self.vbar = vbar_old;
-        }
-        self.t_step += 1;
-        for (f, &hi) in self.fhat.iter_mut().zip(h) {
-            *f += hi;
-        }
-        t.charge(Cost::par_flat(h.len() as u64));
-
-        let mut candidates = Vec::new();
-        let log_n = (self.graph.n().max(4) as f64).log2();
-        for (j, f_j) in self.f_epoch.iter_mut().enumerate() {
-            for (f, &hi) in f_j.iter_mut().zip(h) {
+        t.span("ds/dual-add", |t| {
+            if self.t_step == self.period {
+                // reinitialize from the current exact state
+                let exact: Vec<f64> = (0..self.graph.m()).map(|i| self.exact(i)).collect();
+                t.charge(Cost::par_flat(self.graph.m() as u64));
+                let fresh = DualMaintenance::initialize(
+                    t,
+                    self.graph.clone(),
+                    exact,
+                    self.w.clone(),
+                    self.eps,
+                    self.seed.wrapping_add(1),
+                );
+                let vbar_old = std::mem::take(&mut self.vbar);
+                *self = fresh;
+                // keep the previously reported v̄ (still within tolerance)
+                self.vbar = vbar_old;
+            }
+            self.t_step += 1;
+            for (f, &hi) in self.fhat.iter_mut().zip(h) {
                 *f += hi;
             }
-            if self.t_step.is_multiple_of(1usize << j) {
-                let eps_q = 0.2 * self.eps / log_n;
-                candidates.extend(self.detector.heavy_query(t, f_j, eps_q));
-                f_j.fill(0.0);
+            t.charge(Cost::par_flat(h.len() as u64));
+
+            let mut candidates = Vec::new();
+            let log_n = (self.graph.n().max(4) as f64).log2();
+            for (j, f_j) in self.f_epoch.iter_mut().enumerate() {
+                for (f, &hi) in f_j.iter_mut().zip(h) {
+                    *f += hi;
+                }
+                if self.t_step.is_multiple_of(1usize << j) {
+                    let eps_q = 0.2 * self.eps / log_n;
+                    candidates.extend(self.detector.heavy_query(t, f_j, eps_q));
+                    f_j.fill(0.0);
+                }
             }
-        }
-        t.charge(Cost::par_flat(self.graph.n() as u64)); // epoch vector updates
-        candidates.sort_unstable();
-        candidates.dedup();
-        self.verify(t, &candidates)
+            t.charge(Cost::par_flat((self.f_epoch.len() * h.len()) as u64));
+            candidates.sort_unstable();
+            candidates.dedup();
+            self.verify(t, &candidates)
+        })
     }
 
     /// The maintained approximation.

@@ -44,6 +44,13 @@ struct ClassState {
     pristine: bool,
 }
 
+/// The normalizer `Q` and per-part shifts of one `(h, K)`, shared by
+/// [`HeavyHitter::sample`] and [`HeavyHitter::probability`].
+pub struct SamplePotentials {
+    q: f64,
+    shifts: HashMap<(i32, usize, usize), f64>,
+}
+
 /// Weighted-incidence heavy-hitter index (Lemma B.1).
 pub struct HeavyHitter {
     graph: DiGraph,
@@ -296,11 +303,7 @@ impl HeavyHitter {
 
     /// Per-vertex sampling potentials for `sample`/`probability`: the
     /// normalizer `Q` and per-part shifts.
-    fn sample_potentials(
-        &self,
-        h: &[f64],
-        k_scale: f64,
-    ) -> (f64, HashMap<(i32, usize, usize), f64>) {
+    fn sample_potentials(&self, h: &[f64], k_scale: f64) -> SamplePotentials {
         let mut denom = 0.0;
         let mut shifts = HashMap::new();
         for (&c, class) in &self.classes {
@@ -325,16 +328,24 @@ impl HeavyHitter {
             }
         }
         let q = if denom > 0.0 { k_scale / denom } else { 0.0 };
-        (q, shifts)
+        SamplePotentials { q, shifts }
     }
 
     /// Sample edges where each `e = (u,v)` is included with probability
     /// `q_e ≥ min(K·(g_e(h_u−h_v))²/(16·‖Diag(g)Ah‖² log⁸n), 1)`-style
-    /// bounds (Lemma B.1 `Sample`): expected output `Õ(K)`.
-    pub fn sample(&mut self, t: &mut Tracker, h: &[f64], k_scale: f64) -> Vec<EdgeId> {
+    /// bounds (Lemma B.1 `Sample`): expected output `Õ(K)`. Also returns
+    /// the potentials the draw used, for [`HeavyHitter::probability`] of
+    /// the same `(h, K)`.
+    pub fn sample(
+        &mut self,
+        t: &mut Tracker,
+        h: &[f64],
+        k_scale: f64,
+    ) -> (Vec<EdgeId>, SamplePotentials) {
         t.span("ds/grad-sample", |t| {
             t.counter("hh.grad_samples", 1);
-            let (q, shifts) = self.sample_potentials(h, k_scale);
+            let pot = self.sample_potentials(h, k_scale);
+            let (q, shifts) = (pot.q, &pot.shifts);
             let mut out = Vec::new();
             let mut touched = 0u64;
             for (&c, class) in &self.classes {
@@ -390,20 +401,21 @@ impl HeavyHitter {
             ));
             out.sort_unstable();
             out.dedup();
-            out
+            (out, pot)
         })
     }
 
     /// Probability that `sample(h, k_scale)` would return each edge in
-    /// `idx` (Lemma B.1 `Probability`).
+    /// `idx` (Lemma B.1 `Probability`), given the potentials that call
+    /// returned.
     pub fn probability(
         &self,
         t: &mut Tracker,
         idx: &[EdgeId],
         h: &[f64],
-        k_scale: f64,
+        pot: &SamplePotentials,
     ) -> Vec<f64> {
-        let (q, shifts) = self.sample_potentials(h, k_scale);
+        let (q, shifts) = (pot.q, &pot.shifts);
         // vertex → (class, part) lookup via registry-ish scan per edge
         let mut out = Vec::with_capacity(idx.len());
         for &e in idx {
@@ -613,7 +625,7 @@ mod tests {
         h[5] = 10.0;
         let mut counts = vec![0usize; 150];
         for _ in 0..30 {
-            for e in hh.sample(&mut t, &h, 40.0) {
+            for e in hh.sample(&mut t, &h, 40.0).0 {
                 counts[e] += 1;
             }
         }
@@ -640,7 +652,7 @@ mod tests {
         let mut h = vec![0.0; 16];
         h[2] = 5.0;
         let idx: Vec<EdgeId> = (0..60).collect();
-        let p = hh.probability(&mut t, &idx, &h, 50.0);
+        let p = hh.probability(&mut t, &idx, &h, &hh.sample_potentials(&h, 50.0));
         for (e, &(u, v)) in g.edges().iter().enumerate() {
             if u == 2 || v == 2 {
                 assert!(p[e] > 0.1, "edge {e} incident to hot vertex: p={}", p[e]);
@@ -689,8 +701,8 @@ mod tests {
                 "{ctx}: heavy_query salt={salt}"
             );
             assert_eq!(
-                a.sample(&mut ta, &h, 4.0),
-                b.sample(&mut tb, &h, 4.0),
+                a.sample(&mut ta, &h, 4.0).0,
+                b.sample(&mut tb, &h, 4.0).0,
                 "{ctx}: sample salt={salt}"
             );
             assert_eq!(

@@ -52,10 +52,12 @@ impl HeavySampler {
 
     /// Update `g_i ← a_i`, `τ_i ← b_i` (Theorem E.2 `Scale`).
     pub fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64)]) {
-        let gs: Vec<(usize, f64)> = updates.iter().map(|&(i, a, _)| (i, a)).collect();
-        let ts: Vec<(usize, f64)> = updates.iter().map(|&(i, _, b)| (i, b)).collect();
-        self.hitter.scale(t, &gs);
-        self.tau.scale(t, &ts);
+        t.span("ds/sampler-scale", |t| {
+            let gs: Vec<(usize, f64)> = updates.iter().map(|&(i, a, _)| (i, a)).collect();
+            let ts: Vec<(usize, f64)> = updates.iter().map(|&(i, _, b)| (i, b)).collect();
+            self.hitter.scale(t, &gs);
+            self.tau.scale(t, &ts);
+        })
     }
 
     /// All edges with `τ_e ≥ threshold` (output-sensitive; used to pin
@@ -83,66 +85,69 @@ impl HeavySampler {
         c2: f64,
         c3: f64,
     ) -> Vec<(usize, f64)> {
-        let sqrt_n = (self.n as f64).sqrt();
-        // three candidate streams
-        let i_u = self.tau.sample(t, 3.0 * c3);
-        let k_grad = 3.0 * c1 * self.m as f64 / sqrt_n;
-        let i_v = self.hitter.sample(t, h, k_grad);
-        // uniform stream: Binomial(m, q) then distinct indices
-        let q_unif = (3.0 * c2 / sqrt_n).min(1.0);
-        let expect = (self.m as f64 * q_unif).ceil() as usize;
-        let mut i_w = Vec::with_capacity(expect);
-        if q_unif >= 1.0 {
-            i_w.extend(0..self.m);
-        } else if q_unif > 0.0 {
-            let cnt = {
-                let mut c = 0usize;
-                if self.m <= 128 {
-                    for _ in 0..self.m {
-                        if self.rng.gen_bool(q_unif) {
-                            c += 1;
+        t.span("ds/sampler-sample", |t| {
+            let sqrt_n = (self.n as f64).sqrt();
+            // three candidate streams
+            let i_u = self.tau.sample(t, 3.0 * c3);
+            let k_grad = 3.0 * c1 * self.m as f64 / sqrt_n;
+            // the gradient stream's potentials serve its probabilities too
+            let (i_v, pot) = self.hitter.sample(t, h, k_grad);
+            // uniform stream: Binomial(m, q) then distinct indices
+            let q_unif = (3.0 * c2 / sqrt_n).min(1.0);
+            let expect = (self.m as f64 * q_unif).ceil() as usize;
+            let mut i_w = Vec::with_capacity(expect);
+            if q_unif >= 1.0 {
+                i_w.extend(0..self.m);
+            } else if q_unif > 0.0 {
+                let cnt = {
+                    let mut c = 0usize;
+                    if self.m <= 128 {
+                        for _ in 0..self.m {
+                            if self.rng.gen_bool(q_unif) {
+                                c += 1;
+                            }
                         }
+                    } else {
+                        c = expect.min(self.m);
                     }
-                } else {
-                    c = expect.min(self.m);
+                    c
+                };
+                let mut chosen = std::collections::HashSet::with_capacity(cnt);
+                while chosen.len() < cnt {
+                    chosen.insert(self.rng.gen_range(0..self.m));
                 }
-                c
-            };
-            let mut chosen = std::collections::HashSet::with_capacity(cnt);
-            while chosen.len() < cnt {
-                chosen.insert(self.rng.gen_range(0..self.m));
+                let mut picks: Vec<usize> = chosen.into_iter().collect();
+                picks.sort_unstable();
+                i_w.extend(picks);
             }
-            let mut picks: Vec<usize> = chosen.into_iter().collect();
-            picks.sort_unstable();
-            i_w.extend(picks);
-        }
-        t.charge(Cost::par_flat((i_w.len() + 1) as u64));
+            t.charge(Cost::par_flat((i_w.len() + 1) as u64));
 
-        // candidate union
-        let mut cand: Vec<usize> = i_u.iter().chain(&i_v).chain(&i_w).copied().collect();
-        cand.sort_unstable();
-        cand.dedup();
+            // candidate union
+            let mut cand: Vec<usize> = i_u.iter().chain(&i_v).chain(&i_w).copied().collect();
+            cand.sort_unstable();
+            cand.dedup();
 
-        // per-candidate probabilities of each stream
-        let u_p = self.tau.probability(t, &cand, 3.0 * c3);
-        let v_p = self.hitter.probability(t, &cand, h, k_grad);
-        let mut out = Vec::with_capacity(cand.len());
-        for (j, &i) in cand.iter().enumerate() {
-            let (u, v, w) = (u_p[j], v_p[j], q_unif);
-            let p = (u + v + w).min(1.0);
-            let any = 1.0 - (1.0 - u) * (1.0 - v) * (1.0 - w);
-            if any <= 0.0 {
-                continue;
+            // per-candidate probabilities of each stream
+            let u_p = self.tau.probability(t, &cand, 3.0 * c3);
+            let v_p = self.hitter.probability(t, &cand, h, &pot);
+            let mut out = Vec::with_capacity(cand.len());
+            for (j, &i) in cand.iter().enumerate() {
+                let (u, v, w) = (u_p[j], v_p[j], q_unif);
+                let p = (u + v + w).min(1.0);
+                let any = 1.0 - (1.0 - u) * (1.0 - v) * (1.0 - w);
+                if any <= 0.0 {
+                    continue;
+                }
+                // i ∈ candidates with prob `any`; accept with p/any to make
+                // the final inclusion probability exactly p (Algorithm 10)
+                let accept = (p / any).min(1.0);
+                if self.rng.gen_bool(accept) {
+                    out.push((i, 1.0 / p));
+                }
             }
-            // i ∈ candidates with prob `any`; accept with p/any to make
-            // the final inclusion probability exactly p (Algorithm 10)
-            let accept = (p / any).min(1.0);
-            if self.rng.gen_bool(accept) {
-                out.push((i, 1.0 / p));
-            }
-        }
-        t.charge(Cost::par_flat(cand.len().max(1) as u64));
-        out
+            t.charge(Cost::par_flat(cand.len().max(1) as u64));
+            out
+        })
     }
 }
 

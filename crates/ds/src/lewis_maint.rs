@@ -69,12 +69,14 @@ impl LewisMaintenance {
 
     /// Update scalings `g_i ← b_i` (Theorem C.1 `Scale`).
     pub fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        t.charge(Cost::par_flat(updates.len() as u64));
-        for &(i, b) in updates {
-            assert!(b > 0.0, "scaling must be positive");
-            self.g[i] = b;
-            self.dirty.push(i);
-        }
+        t.span("ds/lewis-scale", |t| {
+            t.charge(Cost::par_flat(updates.len() as u64));
+            for &(i, b) in updates {
+                assert!(b > 0.0, "scaling must be positive");
+                self.g[i] = b;
+                self.dirty.push(i);
+            }
+        })
     }
 
     /// Query (Theorem C.1 `Query`): refreshes the coordinates scaled
@@ -82,23 +84,27 @@ impl LewisMaintenance {
     /// changed (beyond ε/4 relatively) and the current weights.
     /// `O(|scaled|)` work.
     pub fn query(&mut self, t: &mut Tracker) -> (Vec<usize>, &[f64]) {
-        let dirty = std::mem::take(&mut self.dirty);
-        t.charge(Cost::par_flat(dirty.len().max(1) as u64));
-        for &i in &dirty {
-            let d = self.tau[i].powf(1.0 - 2.0 / self.p) * self.g[i] * self.g[i];
-            let sigma = (self.quad[i] * d).clamp(0.0, 1.0);
-            self.tau[i] = sigma + self.z_reg;
-        }
-        // only locally-refreshed coordinates can have changed
-        let mut changed = Vec::new();
-        for &i in &dirty {
-            let rel = (self.tau[i] - self.tau_reported[i]).abs() / self.tau_reported[i].max(1e-300);
-            if rel > self.eps / 4.0 {
-                self.tau_reported[i] = self.tau[i];
-                changed.push(i);
+        let changed = t.span("ds/lewis-query", |t| {
+            let dirty = std::mem::take(&mut self.dirty);
+            t.charge(Cost::par_flat(dirty.len().max(1) as u64));
+            for &i in &dirty {
+                let d = self.tau[i].powf(1.0 - 2.0 / self.p) * self.g[i] * self.g[i];
+                let sigma = (self.quad[i] * d).clamp(0.0, 1.0);
+                self.tau[i] = sigma + self.z_reg;
             }
-        }
-        t.charge(Cost::par_flat(dirty.len().max(1) as u64));
+            // only locally-refreshed coordinates can have changed
+            let mut changed = Vec::new();
+            for &i in &dirty {
+                let rel =
+                    (self.tau[i] - self.tau_reported[i]).abs() / self.tau_reported[i].max(1e-300);
+                if rel > self.eps / 4.0 {
+                    self.tau_reported[i] = self.tau[i];
+                    changed.push(i);
+                }
+            }
+            t.charge(Cost::par_flat(dirty.len().max(1) as u64));
+            changed
+        });
         (changed, &self.tau)
     }
 }

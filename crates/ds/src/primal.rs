@@ -4,6 +4,11 @@
 //! [`crate::accumulator::GradientAccumulator`] accumulates those steps
 //! into a per-coordinate-accurate approximation of the primal iterate
 //! `x(t)` — together giving `Õ(n)`-work iterations instead of `Θ(m)`.
+//!
+//! A step travels between the two as sparse `(bucket, s_k)` pairs over
+//! the occupied buckets, so no call sweeps the whole `K` grid. Each
+//! method runs under its own span (`ds/primal-product`, `ds/primal-sum`,
+//! `ds/primal-update`).
 
 use crate::accumulator::GradientAccumulator;
 use crate::gradient::GradientReduction;
@@ -14,8 +19,8 @@ use pmcf_pram::Tracker;
 pub struct PrimalGradient {
     reduction: GradientReduction,
     accumulator: GradientAccumulator,
-    /// Low-dimensional step of the last `query_product`.
-    last_s: Option<Vec<f64>>,
+    /// Sparse `(bucket, s_k)` step of the last `query_product`.
+    last_steps: Option<Vec<(usize, f64)>>,
 }
 
 impl PrimalGradient {
@@ -54,36 +59,40 @@ impl PrimalGradient {
         PrimalGradient {
             reduction,
             accumulator,
-            last_s: None,
+            last_steps: None,
         }
     }
 
     /// Update `g, τ̃, z` on coordinates (Theorem D.1 `Update`).
     pub fn update(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64, f64)]) {
-        let _new_buckets = self.reduction.update(t, updates);
-        let moves: Vec<(usize, usize, f64)> = updates
-            .iter()
-            .map(|&(i, g, ..)| (i, self.reduction.bucket_of(i), g))
-            .collect();
-        self.accumulator.move_and_scale(t, &moves);
+        t.span("ds/primal-update", |t| {
+            self.reduction.update(t, updates);
+            let moves: Vec<(usize, usize, f64)> = updates
+                .iter()
+                .map(|&(i, g, ..)| (i, self.reduction.bucket_of(i), g))
+                .collect();
+            self.accumulator.move_and_scale(t, &moves);
+        })
     }
 
     /// `QueryProduct`: returns `v̄ = AᵀG(∇Ψ(z̄))^{♭(τ̄)} ∈ R^n`. Must be
     /// followed by [`PrimalGradient::query_sum`].
     pub fn query_product(&mut self, t: &mut Tracker) -> Vec<f64> {
-        let (vbar, s) = self.reduction.query(t);
-        self.last_s = Some(s);
-        vbar
+        t.span("ds/primal-product", |t| {
+            let (vbar, steps) = self.reduction.query(t);
+            self.last_steps = Some(steps);
+            vbar
+        })
     }
 
     /// `QuerySum(h)`: accumulate the step from the last `query_product`
     /// plus the sparse correction `h`; returns indices where `x̄` changed.
     pub fn query_sum(&mut self, t: &mut Tracker, h: &[(usize, f64)]) -> Vec<usize> {
-        let s = self
-            .last_s
+        let steps = self
+            .last_steps
             .take()
             .expect("query_sum must follow query_product");
-        self.accumulator.query(t, &s, h)
+        t.span("ds/primal-sum", |t| self.accumulator.query(t, &steps, h))
     }
 
     /// The maintained primal approximation `x̄`.
@@ -103,10 +112,13 @@ impl PrimalGradient {
 
     /// The per-coordinate step value of the last product query.
     pub fn step_of(&self, i: usize) -> f64 {
-        match &self.last_s {
-            Some(s) => s[self.reduction.bucket_of(i)],
-            None => 0.0,
-        }
+        let Some(steps) = &self.last_steps else {
+            return 0.0;
+        };
+        let b = self.reduction.bucket_of(i);
+        steps
+            .binary_search_by_key(&b, |&(k, _)| k)
+            .map_or(0.0, |j| steps[j].1)
     }
 }
 

@@ -86,7 +86,8 @@ proptest! {
             for i in 0..m {
                 dense[i] += g[i] * s[bucket[i]];
             }
-            let _ = acc.query(&mut t, s, &[]);
+            let steps: Vec<(usize, f64)> = s.iter().copied().enumerate().collect();
+            let _ = acc.query(&mut t, &steps, &[]);
             for i in 0..m {
                 prop_assert!((acc.xbar()[i] - dense[i]).abs() <= eps[i] + 1e-12);
             }
