@@ -20,7 +20,7 @@ use pmcf_graph::{DiGraph, EdgeId};
 use pmcf_pram::{Cost, Tracker};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Expansion target for the per-class decompositions. The paper picks
 /// `φ = 1/log⁴ n`; at workstation scale that is indistinguishable from a
@@ -48,7 +48,19 @@ struct ClassState {
 /// [`HeavyHitter::sample`] and [`HeavyHitter::probability`].
 pub struct SamplePotentials {
     q: f64,
-    shifts: HashMap<(i32, usize, usize), f64>,
+    /// Smallest class exponent: class `c`'s shifts are row `c - low`.
+    low: i32,
+    /// Per-part shift by class row and DED part slot; `None` for a part
+    /// without alive degree.
+    shifts: Vec<Vec<Option<f64>>>,
+}
+
+impl SamplePotentials {
+    /// The shift of class `c`'s part in DED slot `slot`, if it has one.
+    fn shift(&self, c: i32, slot: usize) -> Option<f64> {
+        let row = self.shifts.get(usize::try_from(c - self.low).ok()?)?;
+        row.get(slot).copied().flatten()
+    }
 }
 
 /// Weighted-incidence heavy-hitter index (Lemma B.1).
@@ -305,10 +317,13 @@ impl HeavyHitter {
     /// normalizer `Q` and per-part shifts.
     fn sample_potentials(&self, h: &[f64], k_scale: f64) -> SamplePotentials {
         let mut denom = 0.0;
-        let mut shifts = HashMap::new();
+        let low = self.classes.keys().next().copied().unwrap_or(0);
+        let mut shifts = Vec::new();
         for (&c, class) in &self.classes {
             let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1); // ≥ g_e² in class c
-            for ((bi, pi), view) in class.ded.part_views_keyed() {
+            shifts.resize_with((c - low) as usize, Vec::new);
+            let mut row = vec![None; class.ded.part_slots()];
+            for (slot, view) in class.ded.part_views_keyed() {
                 let mut num = 0.0;
                 let mut den = 0.0;
                 for (lv, &gv) in view.verts.iter().enumerate() {
@@ -320,15 +335,16 @@ impl HeavyHitter {
                     continue;
                 }
                 let shift = num / den;
-                shifts.insert((c, bi, pi), shift);
+                row[slot] = Some(shift);
                 for (lv, &gv) in view.verts.iter().enumerate() {
                     let hv = h[gv] - shift;
                     denom += w2 * hv * hv * view.alive_deg[lv] as f64;
                 }
             }
+            shifts.push(row);
         }
         let q = if denom > 0.0 { k_scale / denom } else { 0.0 };
-        SamplePotentials { q, shifts }
+        SamplePotentials { q, low, shifts }
     }
 
     /// Sample edges where each `e = (u,v)` is included with probability
@@ -345,13 +361,13 @@ impl HeavyHitter {
         t.span("ds/grad-sample", |t| {
             t.counter("hh.grad_samples", 1);
             let pot = self.sample_potentials(h, k_scale);
-            let (q, shifts) = (pot.q, &pot.shifts);
+            let q = pot.q;
             let mut out = Vec::new();
             let mut touched = 0u64;
             for (&c, class) in &self.classes {
                 let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1);
-                for ((bi, pi), view) in class.ded.part_views_keyed() {
-                    let Some(&shift) = shifts.get(&(c, bi, pi)) else {
+                for (slot, view) in class.ded.part_views_keyed() {
+                    let Some(shift) = pot.shift(c, slot) else {
                         continue;
                     };
                     for (lv, &gv) in view.verts.iter().enumerate() {
@@ -415,8 +431,7 @@ impl HeavyHitter {
         h: &[f64],
         pot: &SamplePotentials,
     ) -> Vec<f64> {
-        let (q, shifts) = (pot.q, &pot.shifts);
-        // vertex → (class, part) lookup via registry-ish scan per edge
+        let q = pot.q;
         let mut out = Vec::with_capacity(idx.len());
         for &e in idx {
             let Some(c) = self.class_of[e] else {
@@ -427,9 +442,9 @@ impl HeavyHitter {
             let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1);
             let key = self.key_of[e];
             let mut q_e = 0.0;
-            if let Some(((bi, pi), view, le)) = class.ded.locate_keyed(key) {
+            if let Some((slot, view, le)) = class.ded.locate_keyed(key) {
                 if view.alive_edge[le] {
-                    if let Some(&shift) = shifts.get(&(c, bi, pi)) {
+                    if let Some(shift) = pot.shift(c, slot) {
                         let (lu, lv) = view.ends[le];
                         let hu = h[view.verts[lu]] - shift;
                         let hv = h[view.verts[lv]] - shift;
@@ -658,6 +673,190 @@ mod tests {
                 assert!(p[e] > 0.1, "edge {e} incident to hot vertex: p={}", p[e]);
             }
         }
+    }
+
+    /// `sample_potentials`, `sample` and `probability` with the shifts in
+    /// a hashed map, verbatim but for the part's address (its DED slot):
+    /// the oracle the dense shift table must match bit for bit.
+    struct HashedPotentials {
+        q: f64,
+        shifts: std::collections::HashMap<(i32, usize), f64>,
+    }
+
+    fn sample_potentials_oracle(hh: &HeavyHitter, h: &[f64], k_scale: f64) -> HashedPotentials {
+        let mut denom = 0.0;
+        let mut shifts = std::collections::HashMap::new();
+        for (&c, class) in &hh.classes {
+            let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1); // ≥ g_e² in class c
+            for (slot, view) in class.ded.part_views_keyed() {
+                let mut num = 0.0;
+                let mut den = 0.0;
+                for (lv, &gv) in view.verts.iter().enumerate() {
+                    let d = view.alive_deg[lv] as f64;
+                    num += d * h[gv];
+                    den += d;
+                }
+                if den == 0.0 {
+                    continue;
+                }
+                let shift = num / den;
+                shifts.insert((c, slot), shift);
+                for (lv, &gv) in view.verts.iter().enumerate() {
+                    let hv = h[gv] - shift;
+                    denom += w2 * hv * hv * view.alive_deg[lv] as f64;
+                }
+            }
+        }
+        let q = if denom > 0.0 { k_scale / denom } else { 0.0 };
+        HashedPotentials { q, shifts }
+    }
+
+    fn sample_oracle(
+        hh: &mut HeavyHitter,
+        t: &mut Tracker,
+        h: &[f64],
+        k_scale: f64,
+    ) -> (Vec<EdgeId>, HashedPotentials) {
+        t.span("ds/grad-sample", |t| {
+            t.counter("hh.grad_samples", 1);
+            let pot = sample_potentials_oracle(hh, h, k_scale);
+            let (q, shifts) = (pot.q, &pot.shifts);
+            let mut out = Vec::new();
+            let mut touched = 0u64;
+            for (&c, class) in &hh.classes {
+                let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1);
+                for (slot, view) in class.ded.part_views_keyed() {
+                    let Some(&shift) = shifts.get(&(c, slot)) else {
+                        continue;
+                    };
+                    for (lv, &gv) in view.verts.iter().enumerate() {
+                        let deg = view.adj[lv].len();
+                        if deg == 0 {
+                            continue;
+                        }
+                        let hv = h[gv] - shift;
+                        let p = (q * w2 * hv * hv).min(1.0);
+                        if p <= 0.0 {
+                            continue;
+                        }
+                        // binomial + distinct picks: work ∝ output
+                        let cnt = {
+                            let mut cnt = 0usize;
+                            if deg <= 32 || (deg as f64 * p) < 16.0 {
+                                for _ in 0..deg {
+                                    if hh.rng.gen_bool(p) {
+                                        cnt += 1;
+                                    }
+                                }
+                            } else {
+                                cnt = ((deg as f64 * p).round() as usize).min(deg);
+                            }
+                            cnt
+                        };
+                        let mut chosen = std::collections::HashSet::with_capacity(cnt);
+                        while chosen.len() < cnt {
+                            chosen.insert(hh.rng.gen_range(0..deg));
+                            touched += 1;
+                        }
+                        let mut picks: Vec<usize> = chosen.into_iter().collect();
+                        picks.sort_unstable();
+                        for j in picks {
+                            let (_, le) = view.adj[lv][j];
+                            if view.alive_edge[le] {
+                                out.push(class.edge_of[view.keys[le] as usize]);
+                            }
+                        }
+                    }
+                    touched += view.verts.len() as u64;
+                }
+            }
+            t.charge(Cost::new(
+                touched.max(1),
+                pmcf_pram::par_depth(touched.max(1)),
+            ));
+            out.sort_unstable();
+            out.dedup();
+            (out, pot)
+        })
+    }
+
+    fn probability_oracle(
+        hh: &HeavyHitter,
+        t: &mut Tracker,
+        idx: &[EdgeId],
+        h: &[f64],
+        pot: &HashedPotentials,
+    ) -> Vec<f64> {
+        let (q, shifts) = (pot.q, &pot.shifts);
+        let mut out = Vec::with_capacity(idx.len());
+        for &e in idx {
+            let Some(c) = hh.class_of[e] else {
+                out.push(0.0);
+                continue;
+            };
+            let class = &hh.classes[&c];
+            let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1);
+            let key = hh.key_of[e];
+            let mut q_e = 0.0;
+            if let Some((slot, view, le)) = class.ded.locate_keyed(key) {
+                if view.alive_edge[le] {
+                    if let Some(&shift) = shifts.get(&(c, slot)) {
+                        let (lu, lv) = view.ends[le];
+                        let hu = h[view.verts[lu]] - shift;
+                        let hv = h[view.verts[lv]] - shift;
+                        let pu = (q * w2 * hu * hu).min(1.0);
+                        let pv = (q * w2 * hv * hv).min(1.0);
+                        q_e = 1.0 - (1.0 - pu) * (1.0 - pv);
+                    }
+                }
+            }
+            out.push(q_e);
+        }
+        t.charge(Cost::par_flat(idx.len().max(1) as u64));
+        out
+    }
+
+    #[test]
+    fn sample_and_probability_match_the_hashed_oracle() {
+        let g = generators::gnm_digraph(48, 400, 23);
+        // classes 0, 1 and 3 (class 2 empty), then scale churn: deletes
+        // leave dead part slots and moved edges land in new buckets
+        let w: Vec<f64> = (0..400).map(|e| [1.0, 5.0, 100.0][e % 3]).collect();
+        let updates: Vec<(EdgeId, f64)> = (0..400)
+            .step_by(7)
+            .map(|e| (e, if e % 2 == 0 { 100.0 } else { 0.0 }))
+            .collect();
+        let all: Vec<EdgeId> = (0..400).collect();
+        let mut drawn = 0;
+        for seed in [24u64, 25] {
+            let mut t = Tracker::new();
+            let mut a = HeavyHitter::initialize(&mut t, g.clone(), w.clone(), seed);
+            let mut b = HeavyHitter::initialize(&mut t, g.clone(), w.clone(), seed);
+            for round in 0..2 {
+                for (salt, k_scale) in [(0u64, 0.5), (1, 4.0), (2, 40.0), (3, 400.0)] {
+                    let h: Vec<f64> = (0..48)
+                        .map(|v| (((v as u64 * 29 + salt * 13) % 23) as f64 - 11.0) / 3.0)
+                        .collect();
+                    let ctx = format!("seed {seed}, round {round}, K {k_scale}");
+                    let (mut ta, mut tb) = (Tracker::new(), Tracker::new());
+                    let (got, pot) = a.sample(&mut ta, &h, k_scale);
+                    let (want, pot_o) = sample_oracle(&mut b, &mut tb, &h, k_scale);
+                    assert_eq!(got, want, "{ctx}: sample");
+                    drawn += got.len();
+                    let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(a.probability(&mut ta, &all, &h, &pot)),
+                        bits(probability_oracle(&b, &mut tb, &all, &h, &pot_o)),
+                        "{ctx}: probability"
+                    );
+                    assert_eq!(ta.work(), tb.work(), "{ctx}: work");
+                    assert_eq!(ta.depth(), tb.depth(), "{ctx}: depth");
+                }
+                a.scale(&mut t, &updates);
+                b.scale(&mut t, &updates);
+            }
+        }
+        assert!(drawn > 400, "only {drawn} draws");
     }
 
     #[test]

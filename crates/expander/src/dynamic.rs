@@ -27,7 +27,12 @@
 //! HeavyHitter of Appendix B — can run per-part computations in work
 //! proportional to the part, not to `n`.
 //!
-//! Edges are addressed by stable [`EdgeKey`]s assigned at insertion.
+//! Edges are addressed by stable [`EdgeKey`]s assigned at insertion,
+//! densely from 0, so the key → location and key → endpoints tables are
+//! vectors indexed by key; a deleted key keeps its slot until
+//! [`DynamicExpanderDecomposition::reset`]. Parts are numbered by *slot*,
+//! bucket by bucket, so a consumer can keep per-part values in a dense
+//! table between updates.
 
 use crate::pruning::BoostedPruner;
 use crate::static_decomp::{edge_decompose, ExpanderPart};
@@ -60,6 +65,9 @@ fn certify_part(sub: &UGraph, phi: f64, seed: u64) -> (bool, Option<f64>) {
 
 /// Stable handle for an inserted edge.
 pub type EdgeKey = u64;
+
+/// Number of size-capped buckets `G_i`, `|E(G_i)| ≤ 2^i`.
+const BUCKETS: usize = 48;
 
 /// Local id of host vertex `v` in the part being installed, assigning
 /// the next one on first sight.
@@ -170,16 +178,15 @@ pub struct DynamicExpanderDecomposition {
     phi: f64,
     seed: u64,
     buckets: Vec<Bucket>,
-    /// Key → current location. Ordered (`BTreeMap`, matching the PR 6
-    /// determinism sweep of sibling modules): the maps are only ever
-    /// probed by key today, but an ordered container guarantees any
-    /// future iteration (debugging, rebuild-order tweaks) stays
-    /// seed-deterministic instead of hashing-order-dependent.
-    registry: BTreeMap<EdgeKey, Loc>,
-    /// Endpoints per key (needed to rebuild). Ordered for the same
-    /// reason as `registry`.
-    endpoints: BTreeMap<EdgeKey, (Vertex, Vertex)>,
-    next_key: EdgeKey,
+    /// First part slot of each bucket: part `p` of bucket `b` has slot
+    /// `part_base[b] + p`, and the last entry counts every part.
+    part_base: Vec<usize>,
+    /// Key → current location, `None` once deleted or spilled. Keys are
+    /// handed out densely from 0, so the table is indexed by key.
+    registry: Vec<Option<Loc>>,
+    /// Endpoints per key (needed to rebuild), indexed by key; the next
+    /// key is `endpoints.len()`.
+    endpoints: Vec<(Vertex, Vertex)>,
     /// Static rebuild count (for the amortized-work experiments).
     pub rebuilds: u64,
     /// Reusable gather buffer for the insertion cascade: the keys of
@@ -202,10 +209,10 @@ impl DynamicExpanderDecomposition {
             n,
             phi,
             seed,
-            buckets: (0..48).map(|_| Bucket::default()).collect(),
-            registry: BTreeMap::new(),
-            endpoints: BTreeMap::new(),
-            next_key: 0,
+            buckets: (0..BUCKETS).map(|_| Bucket::default()).collect(),
+            part_base: vec![0; BUCKETS + 1],
+            registry: Vec::new(),
+            endpoints: Vec::new(),
             rebuilds: 0,
             gather: Vec::new(),
             local_of: vec![usize::MAX; n],
@@ -223,20 +230,26 @@ impl DynamicExpanderDecomposition {
             b.parts.clear();
             b.alive = 0;
         }
+        self.part_base.fill(0);
         self.registry.clear();
         self.endpoints.clear();
-        self.next_key = 0;
         self.rebuilds = 0;
     }
 
-    /// Number of alive edges.
+    /// Number of alive edges: each is homed in exactly one bucket.
     pub fn edge_count(&self) -> usize {
-        self.registry.len()
+        self.buckets.iter().map(|b| b.alive).sum()
+    }
+
+    /// Current location of an alive edge.
+    fn loc(&self, key: EdgeKey) -> Option<Loc> {
+        let slot = usize::try_from(key).ok()?;
+        self.registry.get(slot).copied().flatten()
     }
 
     /// Endpoints of an alive edge.
     pub fn endpoints_of(&self, key: EdgeKey) -> Option<(Vertex, Vertex)> {
-        self.registry.get(&key).map(|_| self.endpoints[&key])
+        self.loc(key).map(|_| self.endpoints[key as usize])
     }
 
     /// Insert a batch of edges; returns their keys.
@@ -246,19 +259,16 @@ impl DynamicExpanderDecomposition {
             pmcf_obs::emit_with("expander.insert", || {
                 vec![
                     ("batch", edges.len().into()),
-                    ("alive_before", self.registry.len().into()),
+                    ("alive_before", self.edge_count().into()),
                 ]
             });
-            let keys: Vec<EdgeKey> = edges
-                .iter()
-                .map(|&(u, v)| {
-                    assert!(u < self.n && v < self.n, "endpoint out of range");
-                    let k = self.next_key;
-                    self.next_key += 1;
-                    self.endpoints.insert(k, (u, v));
-                    k
-                })
-                .collect();
+            let first = self.endpoints.len() as EdgeKey;
+            for &(u, v) in edges {
+                assert!(u < self.n && v < self.n, "endpoint out of range");
+                self.endpoints.push((u, v));
+            }
+            self.registry.resize(self.endpoints.len(), None);
+            let keys: Vec<EdgeKey> = (first..self.endpoints.len() as EdgeKey).collect();
             t.charge(Cost::par_flat(edges.len() as u64));
             self.home_keys(t, &keys);
             keys
@@ -276,15 +286,14 @@ impl DynamicExpanderDecomposition {
     pub fn delete_edges(&mut self, t: &mut Tracker, keys: &[EdgeKey]) -> usize {
         t.span("expander/delete", |t| {
             t.counter("expander.deleted_edges", keys.len() as u64);
-            let alive_before = self.registry.len();
+            let alive_before = self.edge_count();
             // Group the deletions per (bucket, part), counting stale keys.
             let mut per_part: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
             let mut stale = 0usize;
             for &k in keys {
-                if let Some(&(b, p, e)) = self.registry.get(&k) {
+                if let Some((b, p, e)) = self.loc(k) {
                     per_part.entry((b, p)).or_default().push(e);
-                    self.registry.remove(&k);
-                    self.endpoints.remove(&k);
+                    self.registry[k as usize] = None;
                     self.buckets[b].alive -= 1;
                 } else {
                     stale += 1;
@@ -356,7 +365,7 @@ impl DynamicExpanderDecomposition {
                 };
                 for k in spilled {
                     // spilled edges are alive user edges that must be re-homed
-                    if self.registry.remove(&k).is_some() {
+                    if self.registry[k as usize].take().is_some() {
                         self.buckets[b].alive -= 1;
                         spilled_keys.push(k);
                     }
@@ -394,7 +403,7 @@ impl DynamicExpanderDecomposition {
         for b in 0..=target {
             for part in self.buckets[b].parts.drain(..) {
                 for (le, &k) in part.view.keys.iter().enumerate() {
-                    if part.view.alive_edge[le] && self.registry.contains_key(&k) {
+                    if part.view.alive_edge[le] && self.registry[k as usize].is_some() {
                         all_keys.push(k);
                     }
                 }
@@ -402,7 +411,7 @@ impl DynamicExpanderDecomposition {
             self.buckets[b].alive = 0;
         }
         for &k in &all_keys {
-            self.registry.remove(&k); // will be re-registered below
+            self.registry[k as usize] = None; // will be re-registered below
         }
         t.charge(Cost::par_flat(all_keys.len() as u64));
 
@@ -410,7 +419,10 @@ impl DynamicExpanderDecomposition {
         self.rebuilds += 1;
         t.counter("expander.rebuilds", 1);
         self.seed = self.seed.wrapping_add(0x9e3779b97f4a7c15);
-        let edge_list: Vec<(Vertex, Vertex)> = all_keys.iter().map(|k| self.endpoints[k]).collect();
+        let edge_list: Vec<(Vertex, Vertex)> = all_keys
+            .iter()
+            .map(|&k| self.endpoints[k as usize])
+            .collect();
         t.charge(Cost::par_flat(all_keys.len() as u64));
         let host = UGraph::from_edges(self.n, edge_list);
         let parts: Vec<ExpanderPart> = t.span("expander/rebuild", |t| {
@@ -462,7 +474,7 @@ impl DynamicExpanderDecomposition {
             let view = PartView::from_edges(verts, ends, part_keys);
             let pidx = bucket.parts.len();
             for (le, &k) in view.keys.iter().enumerate() {
-                self.registry.insert(k, (target, pidx, le));
+                self.registry[k as usize] = Some((target, pidx, le));
             }
             bucket.alive += view.keys.len();
             bucket.parts.push(PartState { pruner: None, view });
@@ -481,37 +493,42 @@ impl DynamicExpanderDecomposition {
             }
             fields
         });
+        for b in 0..BUCKETS {
+            self.part_base[b + 1] = self.part_base[b] + self.buckets[b].parts.len();
+        }
         // hand the scratch back so the next cascade reuses its capacity
         self.gather = all_keys;
     }
 
     /// O(1) lookup of an alive edge's part view and local edge id.
     pub fn locate(&self, key: EdgeKey) -> Option<(&PartView, usize)> {
-        self.registry
-            .get(&key)
-            .map(|&(b, p, le)| (&self.buckets[b].parts[p].view, le))
+        self.locate_keyed(key).map(|(_, view, le)| (view, le))
     }
 
     /// Like [`DynamicExpanderDecomposition::locate`] but also returns the
-    /// stable `(bucket, part)` address, matching the keys of
-    /// [`DynamicExpanderDecomposition::part_views_keyed`].
-    pub fn locate_keyed(&self, key: EdgeKey) -> Option<((usize, usize), &PartView, usize)> {
-        self.registry
-            .get(&key)
-            .map(|&(b, p, le)| ((b, p), &self.buckets[b].parts[p].view, le))
+    /// part's slot, as [`DynamicExpanderDecomposition::part_views_keyed`]
+    /// numbers it.
+    pub fn locate_keyed(&self, key: EdgeKey) -> Option<(usize, &PartView, usize)> {
+        self.loc(key)
+            .map(|(b, p, le)| (self.part_base[b] + p, &self.buckets[b].parts[p].view, le))
     }
 
-    /// Live part views with their stable `(bucket, part)` address.
-    pub fn part_views_keyed(&self) -> impl Iterator<Item = ((usize, usize), &PartView)> {
+    /// Number of part slots, alive or not: every slot that
+    /// [`DynamicExpanderDecomposition::part_views_keyed`] yields is below
+    /// it. Slots are dense, so a caller can keep per-part values in a
+    /// table of this length until the next insert or delete.
+    pub fn part_slots(&self) -> usize {
+        self.part_base[BUCKETS]
+    }
+
+    /// Live part views with their slot: parts are numbered bucket by
+    /// bucket, from 0, until the next insert or delete.
+    pub fn part_views_keyed(&self) -> impl Iterator<Item = (usize, &PartView)> {
         self.buckets
             .iter()
+            .flat_map(|bk| bk.parts.iter())
+            .map(|ps| &ps.view)
             .enumerate()
-            .flat_map(|(b, bk)| {
-                bk.parts
-                    .iter()
-                    .enumerate()
-                    .map(move |(p, ps)| ((b, p), &ps.view))
-            })
             .filter(|(_, v)| v.alive_count > 0)
     }
 
@@ -531,8 +548,8 @@ impl DynamicExpanderDecomposition {
                 view.keys
                     .iter()
                     .enumerate()
-                    .filter(|&(le, k)| view.alive_edge[le] && self.registry.contains_key(k))
-                    .map(|(_, &k)| (k, self.endpoints[&k]))
+                    .filter(|&(le, &k)| view.alive_edge[le] && self.loc(k).is_some())
+                    .map(|(_, &k)| (k, self.endpoints[k as usize]))
                     .collect::<Vec<_>>()
             })
             .filter(|p: &Vec<_>| !p.is_empty())
@@ -601,7 +618,7 @@ mod tests {
         let mut t = Tracker::profiled();
         let edges: Vec<(usize, usize)> = (0..12).map(|i| (i, (i + 1) % 16)).collect();
         let keys = d.insert_edges(&mut t, &edges);
-        // one real key, two never-inserted ones (past next_key)
+        // one real key, two never-inserted ones (past the last key)
         let stale = d.delete_edges(&mut t, &[keys[3], 1_000_000, 1_000_001]);
         assert_eq!(stale, 2);
         assert_eq!(d.edge_count(), 11);
@@ -629,6 +646,86 @@ mod tests {
         check_partition(&d, g.m() - 5);
         let rep = t.profile_report().unwrap();
         assert_eq!(rep.counters["expander.stale_deletes"], 5);
+    }
+
+    /// The key-indexed tables against a `BTreeMap` of the alive edges:
+    /// after interleaved inserts, deletes, double deletes and
+    /// never-inserted keys, `edge_count`, `endpoints_of`, `locate`,
+    /// `locate_keyed` and `parts()` read what the map says.
+    #[test]
+    fn key_tables_match_a_btreemap_oracle() {
+        let n = 40;
+        let mut d = DynamicExpanderDecomposition::new(n, 0.1, 17);
+        let mut t = Tracker::new();
+        let mut oracle: BTreeMap<EdgeKey, (Vertex, Vertex)> = BTreeMap::new();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let (mut keys_out, mut dead) = (0u64, Vec::new());
+        for round in 0..30u64 {
+            let batch: Vec<(Vertex, Vertex)> = (0..1 + round % 9)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let keys = d.insert_edges(&mut t, &batch);
+            assert_eq!(
+                keys,
+                (keys_out..keys_out + batch.len() as u64).collect::<Vec<_>>()
+            );
+            keys_out += batch.len() as u64;
+            oracle.extend(keys.into_iter().zip(batch));
+            if round % 3 == 2 {
+                let mut del: Vec<EdgeKey> = oracle.keys().copied().step_by(3).take(6).collect();
+                del.push(del[0]); // twice in one batch
+                del.extend(dead.last()); // deleted by an earlier batch
+                del.extend([keys_out + round, u64::MAX]); // never inserted
+                let want = del.iter().filter(|&k| oracle.remove(k).is_none()).count();
+                assert_eq!(d.delete_edges(&mut t, &del), want, "round {round}");
+                dead.extend(del);
+            }
+            assert_eq!(d.edge_count(), oracle.len(), "round {round}");
+            let slots: Vec<(usize, *const PartView)> = d
+                .part_views_keyed()
+                .map(|(slot, view)| (slot, view as *const PartView))
+                .collect();
+            assert!(slots.iter().all(|&(slot, _)| slot < d.part_slots()));
+            for k in (0..keys_out + 2).chain([u64::MAX]) {
+                assert_eq!(d.endpoints_of(k), oracle.get(&k).copied(), "key {k}");
+                let located = d.locate_keyed(k);
+                assert_eq!(
+                    d.locate(k).map(|(view, le)| (view as *const PartView, le)),
+                    located.map(|(_, view, le)| (view as *const PartView, le))
+                );
+                let Some((slot, view, le)) = located else {
+                    assert!(!oracle.contains_key(&k), "key {k} lost");
+                    continue;
+                };
+                assert!(view.alive_edge[le] && view.keys[le] == k, "key {k}");
+                let (lu, lv) = view.ends[le];
+                assert_eq!(
+                    Some((view.verts[lu], view.verts[lv])),
+                    oracle.get(&k).copied()
+                );
+                assert!(slots.contains(&(slot, view as *const PartView)), "key {k}");
+            }
+            // `parts()` as the map-backed tables rendered it
+            let want: Vec<Vec<(EdgeKey, (Vertex, Vertex))>> = d
+                .part_views()
+                .map(|view| {
+                    view.keys
+                        .iter()
+                        .enumerate()
+                        .filter(|&(le, k)| view.alive_edge[le] && oracle.contains_key(k))
+                        .map(|(_, &k)| (k, oracle[&k]))
+                        .collect::<Vec<_>>()
+                })
+                .filter(|p: &Vec<_>| !p.is_empty())
+                .collect();
+            assert_eq!(d.parts(), want, "round {round}");
+            let mut all: Vec<_> = want.concat();
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                oracle.iter().map(|(&k, &e)| (k, e)).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
