@@ -19,9 +19,7 @@
 //! - `single_edge_ratio_below_half` — resolve work < 0.5× fresh for a
 //!   1-edge delta (the ISSUE-9 acceptance bar),
 //! - `objective_agreement_ok` — every resolve returned exactly the
-//!   fresh optimum,
-//! - `stale_deletes_zero` — the decomposition's key plumbing never
-//!   reported a stale delete across the sweep.
+//!   fresh optimum.
 //!
 //! Flags: `--seed <u64> --json <path>`; `PMCF_REPORT=<path>` writes a
 //! `pmcf.report/v1` run report whose spans, counters and critical path
@@ -93,7 +91,6 @@ fn main() {
     mdln!(args, "|---|---|---|---|---|---|---|---|---|");
 
     let mut agreement = true;
-    let mut stale_total = 0u64;
     let mut single_edge_ratio = f64::NAN;
 
     // ---- the sweep: 1-edge up to 10%-of-m deltas ----
@@ -104,17 +101,7 @@ fn main() {
         // seed-indexed substream until the mutated instance stays
         // solvable so the ratio always compares two successful solves
         let mut attempt = 0u64;
-        let (
-            work_res,
-            depth_res,
-            iters_res,
-            work_fresh,
-            depth_fresh,
-            iters_fresh,
-            wall,
-            sol_ok,
-            stale,
-        ) = loop {
+        let (work_res, depth_res, iters_res, work_fresh, depth_fresh, iters_fresh, wall, sol_ok) = loop {
             let mut rng = SmallRng::seed_from_u64(seed ^ (si as u64) << 8 ^ attempt << 32);
             let mut tck = Tracker::new();
             let (mut ck, first) = pmcf_core::solve_mcf_checkpointed(&mut tck, &base, &cfg);
@@ -138,7 +125,6 @@ fn main() {
                         fresh.stats.iterations,
                         wall,
                         sol.cost == fresh.cost,
-                        ck.stale_deletes(),
                     );
                 }
                 Err(_) => {
@@ -148,7 +134,6 @@ fn main() {
             }
         };
         agreement &= sol_ok;
-        stale_total += stale;
         let ratio = work_res as f64 / work_fresh as f64;
         let depth_ratio = depth_res as f64 / depth_fresh as f64;
         if k == 1 {
@@ -207,7 +192,6 @@ fn main() {
         }
     }
     let churn_wall = wall.elapsed().as_secs_f64();
-    stale_total += ck.stale_deletes();
     let churn_ratio = work_res_total as f64 / work_fresh_total.max(1) as f64;
     mdln!(
         args,
@@ -229,11 +213,10 @@ fn main() {
     mdln!(args);
     mdln!(
         args,
-        "single-edge ratio {single_edge_ratio:.4} (<0.5: {single_ok}); objective agreement {agreement}; stale deletes {stale_total}"
+        "single-edge ratio {single_edge_ratio:.4} (<0.5: {single_ok}); objective agreement {agreement}"
     );
     artifact.set("single_edge_ratio_below_half", single_ok.into());
     artifact.set("objective_agreement_ok", agreement.into());
-    artifact.set("stale_deletes_zero", (stale_total == 0).into());
 
     artifact.emit(&args);
     pmcf_obs::finish("resolve", Some(&tck));

@@ -65,7 +65,7 @@ fn main() {
     let run_leverage = || {
         let mut t = Tracker::profiled();
         let wall = Instant::now();
-        let _ = estimate_leverage(&mut t, &solver, &d, 0.5, seed);
+        let _ = estimate_leverage(&mut t, &solver, SolverOpts::default(), &d, 0.5, seed);
         (wall.elapsed().as_secs_f64(), t)
     };
     let (lev_wall, lev_t) = run_leverage();

@@ -2,7 +2,7 @@
 //! flow landscape, measured.
 //!
 //! Rows per instance: sequential SSP (depth = work; the stand-in for the
-//! near-linear sequential [CKL+22] row), the dense [LS14]-style IPM
+//! near-linear sequential \[CKL+22\] row), the dense \[LS14\]-style IPM
 //! (Θ(m)/iteration), our tuned reference, and the robust engine
 //! (Theorem 1.2). All four solve each instance *exactly* (values cross
 //! checked); work/depth come from the PRAM cost model.

@@ -374,7 +374,7 @@ fn carries_depth_or_exponent(name: &str, v: &JsonValue) -> bool {
 
 /// Diff `candidate` against `baseline`.
 ///
-/// Rows are matched by [`row_key`]; a baseline row with no candidate
+/// Rows are matched by `row_key`; a baseline row with no candidate
 /// counterpart is itself a failure (coverage must not silently shrink).
 /// Extra candidate rows are allowed; when such a row (or a candidate-only
 /// top-level metric) carries depth or exponent measurements it earns an

@@ -12,7 +12,7 @@ use pmcf_pram::{Tracker, Workspace};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Exact per-iteration recomputation: `Õ(m)` work / iteration (the
-    /// [LS14] cost shape; numerically anchored).
+    /// \[LS14\] cost shape; numerically anchored).
     #[default]
     Reference,
     /// The paper's data-structure-driven engine: `Õ(m/√n + n)` accounted
@@ -360,10 +360,11 @@ fn solve_component(
 
 /// [`solve_mcf`] that additionally returns an
 /// [`McfCheckpoint`](crate::resolve::McfCheckpoint) for incremental
-/// re-solves: each [`McfCheckpoint::resolve`](crate::resolve::McfCheckpoint::resolve)
-/// applies a [`ResolveDelta`](crate::resolve::ResolveDelta) through the
-/// dynamic expander decomposition and warm-starts the IPM from the
-/// previous solve's terminal central-path point. The checkpoint is
+/// re-solves. The checkpoint keeps the instance, the terminal
+/// central-path point and the solver's buffer arena; each
+/// [`McfCheckpoint::resolve`](crate::resolve::McfCheckpoint::resolve)
+/// applies a [`ResolveDelta`](crate::resolve::ResolveDelta) to the
+/// instance and warm-starts the IPM from that point. The checkpoint is
 /// returned even when the solve fails (the first resolve then falls back
 /// to a fresh solve).
 pub fn solve_mcf_checkpointed(

@@ -25,11 +25,6 @@ pub fn ddphi(x: f64, u: f64) -> f64 {
     1.0 / (x * x) + 1.0 / ((u - x) * (u - x))
 }
 
-/// Vectorized `φ'`.
-pub fn dphi_vec(x: &[f64], u: &[f64]) -> Vec<f64> {
-    x.iter().zip(u).map(|(&xi, &ui)| dphi(xi, ui)).collect()
-}
-
 /// Vectorized `φ''`.
 pub fn ddphi_vec(x: &[f64], u: &[f64]) -> Vec<f64> {
     x.iter().zip(u).map(|(&xi, &ui)| ddphi(xi, ui)).collect()

@@ -9,8 +9,8 @@
 //!
 //! * [`barrier`] — the two-sided log barrier `φ` and its derivatives,
 //! * [`init`] — auxiliary-edge construction of a centered initial point,
-//! * [`reference`] — the *reference engine*: weighted path following with
-//!   exact per-iteration recomputation (`Õ(m)`/iteration — the [LS14]
+//! * [`reference`](mod@reference) — the *reference engine*: weighted path following with
+//!   exact per-iteration recomputation (`Õ(m)`/iteration — the \[LS14\]
 //!   cost shape; also the correctness anchor),
 //! * [`robust`] — the *robust engine* of the paper: the same central
 //!   path, but all per-iteration quantities maintained by the

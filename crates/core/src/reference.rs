@@ -54,7 +54,7 @@ pub struct PathFollowConfig {
     /// tolerance per phase: loose when far from centered (the damped
     /// line search absorbs direction error), tight near the path.
     /// Disable to measure the cold-start baseline, with every solve at
-    /// the solver's construction-time tolerance;
+    /// its call's fixed tolerance;
     /// `solver.warm_start_hits` counts acceptances.
     pub warm_start: bool,
 }
@@ -251,6 +251,143 @@ pub fn path_follow(
     follow(t, p, x0, None, mu0, mu_end, cfg)
 }
 
+/// Options of the τ refresh's sketch solves: barrier weights tolerate
+/// constant-factor error, so the leverage estimate solves loosely.
+const TAU_OPTS: SolverOpts = SolverOpts {
+    tol: 2e-3,
+    max_iter: 300,
+};
+
+/// Refresh the barrier weights from a dense leverage estimate, for both
+/// engines: `τ = σ(Φ''^{-1/2} A) + n/m` (leverage-score weights; the ℓ_p
+/// Lewis refinement changes polylog factors only — DESIGN.md §2).
+pub(crate) fn refresh_tau(
+    t: &mut Tracker,
+    solver: &LaplacianSolver,
+    cap: &[f64],
+    st: &mut CentralPathState,
+    seed: u64,
+) {
+    t.span("ipm/tau-refresh", |t| {
+        t.counter("ipm.tau_refreshes", 1);
+        let d: Vec<f64> =
+            st.x.iter()
+                .zip(cap)
+                .map(|(&xi, &ui)| 1.0 / barrier::ddphi(xi, ui))
+                .collect();
+        let sigma = estimate_leverage(t, solver, TAU_OPTS, &d, 0.8, seed);
+        let reg = solver.graph().n() as f64 / cap.len() as f64;
+        for (te, se) in st.tau.iter_mut().zip(&sigma) {
+            *te = se + reg;
+        }
+    })
+}
+
+/// One damped Newton step on the system above at the current point, for
+/// both engines (the reference corrector and polish, the robust engine's
+/// recentering). The Laplacian solve runs with `opts`. `warm` is the
+/// warm-start slot: with `Some`, the slot's previous `δ_y` seeds CG and
+/// this step's `δ_y` replaces it; with `None` every solve starts cold.
+/// Every temporary, CG scratch included, recycles through `ws`. Returns
+/// the step length α (the line search keeps `x` strictly inside the box).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn newton_step(
+    t: &mut Tracker,
+    p: &McfProblem,
+    solver: &LaplacianSolver,
+    opts: SolverOpts,
+    cap: &[f64],
+    st: &mut CentralPathState,
+    stats: &mut PathStats,
+    warm: Option<&mut Option<Vec<f64>>>,
+    ws: &Workspace,
+) -> f64 {
+    t.span("ipm/newton", |t| {
+        t.counter("ipm.newton_steps", 1);
+        let (n, m) = (p.n(), p.m());
+        // residuals
+        let mut r_d = ws.take(t, m);
+        for (o, (((&xi, &ui), &si), &ti)) in r_d
+            .iter_mut()
+            .zip(st.x.iter().zip(cap).zip(&st.s).zip(&st.tau))
+        {
+            *o = si + st.mu * ti * barrier::dphi(xi, ui);
+        }
+        let mut atx = ws.take(t, n);
+        incidence::apply_at_into(t, &p.graph, &st.x, &mut atx);
+        // D = 1/(μ τ φ'')
+        let mut d = ws.take(t, m);
+        for (o, ((&xi, &ui), &ti)) in d.iter_mut().zip(st.x.iter().zip(cap).zip(&st.tau)) {
+            *o = 1.0 / (st.mu * ti * barrier::ddphi(xi, ui));
+        }
+        // rhs = r_p + AᵀD r_d, r_p = b − Aᵀx
+        let mut dr = ws.take(t, m);
+        for (o, (&di, &ri)) in dr.iter_mut().zip(d.iter().zip(&r_d)) {
+            *o = di * ri;
+        }
+        let mut rhs = ws.take(t, n);
+        incidence::apply_at_into(t, &p.graph, &dr, &mut rhs);
+        for ((o, &bi), &ai) in rhs.iter_mut().zip(&p.demand).zip(&atx) {
+            *o += bi as f64 - ai;
+        }
+        rhs[0] = 0.0;
+        let params = SolveParams {
+            opts: Some(opts),
+            d_gen: None,
+            ws: Some(ws),
+        };
+        let spec = RhsSpec {
+            b: &rhs,
+            guess: warm.as_deref().and_then(|w| w.as_deref()),
+        };
+        let (dy, solve_stats) = solver.solve_with(t, &d, &spec, &params);
+        stats.cg_iterations += solve_stats.iterations;
+        // δ_x = D(A δ_y − r_d); `dr` is dead, reuse it for A δ_y
+        incidence::apply_a_into(t, &p.graph, &dy, &mut dr);
+        let mut dx = ws.take(t, m);
+        for (o, ((&di, &ai), &ri)) in dx.iter_mut().zip(d.iter().zip(&dr).zip(&r_d)) {
+            *o = di * (ai - ri);
+        }
+        // line search: stay strictly inside the box
+        let mut alpha = 1.0f64;
+        for ((&xi, &ui), &dxi) in st.x.iter().zip(cap).zip(&dx) {
+            if dxi > 0.0 {
+                alpha = alpha.min(0.90 * (ui - xi) / dxi);
+            } else if dxi < 0.0 {
+                alpha = alpha.min(0.90 * xi / (-dxi));
+            }
+        }
+        t.charge(Cost::par_flat(m as u64 * 4).seq(Cost::reduce(m as u64)));
+        for (xi, &dxi) in st.x.iter_mut().zip(&dx) {
+            *xi += alpha * dxi;
+        }
+        barrier::repair_bound_rounding(&mut st.x, cap);
+        for (yi, &dyi) in st.y.iter_mut().zip(&dy) {
+            *yi += alpha * dyi;
+        }
+        // s = c − A y; reuse the dead m-length `dr` once more
+        incidence::apply_a_into(t, &p.graph, &st.y, &mut dr);
+        for ((si, &ci), &ayi) in st.s.iter_mut().zip(&p.cost).zip(dr.iter()) {
+            *si = ci as f64 - ayi;
+        }
+        stats.newton_steps += 1;
+        // `dy` either becomes the next warm start (displacing its
+        // predecessor into the pool) or goes straight back
+        match warm {
+            Some(slot) => {
+                if let Some(old) = slot.replace(dy) {
+                    ws.give(old);
+                }
+            }
+            None => ws.give(dy),
+        }
+        for buf in [r_d, atx, d, dr, rhs, dx] {
+            ws.give(buf);
+        }
+        alpha
+    })
+}
+
 /// [`path_follow`] from either start: `warm` carries the previous duals
 /// and the checkpoint's long-lived [`Workspace`]; without it the run
 /// starts from `y = 0` with a private arena.
@@ -263,47 +400,15 @@ pub(crate) fn follow(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    let (n, m) = (p.n(), p.m());
+    let m = p.m();
     let cap: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
-    let b: Vec<f64> = p.demand.iter().map(|&d| d as f64).collect();
-    let cost: Vec<f64> = p.cost.iter().map(|&c| c as f64).collect();
     let solver = LaplacianSolver::new(p.graph.clone(), 0, SolverOpts::default());
-    // loose solver for weight estimation — constant-factor accuracy
-    let tau_solver = LaplacianSolver::new(
-        p.graph.clone(),
-        0,
-        SolverOpts {
-            tol: 2e-3,
-            max_iter: 300,
-        },
-    );
 
     let is_warm = warm.is_some();
     let (y0, ws_ext) = warm.unzip();
     let (mut st, label) = begin(t, p, Engine::Reference, x0, y0, &cap, mu0, mu_end);
     let mut stats = PathStats::default();
-
-    let refresh_tau =
-        |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, round: usize| {
-            t.span("ipm/tau-refresh", |t| {
-                t.counter("ipm.tau_refreshes", 1);
-                // τ = σ(Φ''^{-1/2} A) + n/m  (leverage-score weights; the ℓ_p
-                // Lewis refinement changes polylog factors only — DESIGN.md §2)
-                let d: Vec<f64> =
-                    st.x.iter()
-                        .zip(&cap)
-                        .map(|(&xi, &ui)| 1.0 / barrier::ddphi(xi, ui))
-                        .collect();
-                let sigma =
-                    estimate_leverage(t, &tau_solver, &d, 0.8, cfg.seed.wrapping_add(round as u64));
-                let reg = n as f64 / m as f64;
-                for (te, se) in st.tau.iter_mut().zip(&sigma) {
-                    *te = se + reg;
-                }
-                stats.cg_iterations += 1; // counted coarsely inside estimate
-            })
-        };
-    refresh_tau(t, &mut st, &mut stats, 0);
+    refresh_tau(t, &solver, &cap, &mut st, cfg.seed);
 
     // One buffer arena for the whole solve: every Newton temporary and
     // all CG scratch (threaded through `SolveParams::ws`) recycles here,
@@ -315,113 +420,16 @@ pub(crate) fn follow(
     // Previous Newton solution, carried across steps as a warm start.
     let mut prev_dy: Option<Vec<f64>> = None;
     let mut newton =
-        |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, worst: f64| -> f64 {
-            t.span("ipm/newton", |t| {
-                t.counter("ipm.newton_steps", 1);
-                // residuals
-                let mut ddx = ws.take(t, m);
-                for (o, (&xi, &ui)) in ddx.iter_mut().zip(st.x.iter().zip(&cap)) {
-                    *o = barrier::ddphi(xi, ui);
-                }
-                let mut r_d = ws.take(t, m);
-                for (o, (((&xi, &ui), &si), &ti)) in r_d
-                    .iter_mut()
-                    .zip(st.x.iter().zip(&cap).zip(&st.s).zip(&st.tau))
-                {
-                    *o = si + st.mu * ti * barrier::dphi(xi, ui);
-                }
-                let mut r_p = ws.take(t, n);
-                incidence::apply_at_into(t, &p.graph, &st.x, &mut r_p);
-                for (o, &bi) in r_p.iter_mut().zip(&b) {
-                    *o = bi - *o;
-                }
-                // D = 1/(μ τ φ'')
-                let mut d = ws.take(t, m);
-                for (o, (&ti, &pi)) in d.iter_mut().zip(st.tau.iter().zip(&ddx)) {
-                    *o = 1.0 / (st.mu * ti * pi);
-                }
-                // rhs = r_p + AᵀD r_d
-                let mut dr = ws.take(t, m);
-                for (o, (&di, &ri)) in dr.iter_mut().zip(d.iter().zip(&r_d)) {
-                    *o = di * ri;
-                }
-                let mut rhs = ws.take(t, n);
-                incidence::apply_at_into(t, &p.graph, &dr, &mut rhs);
-                for (o, &a) in rhs.iter_mut().zip(&r_p) {
-                    *o += a;
-                }
-                rhs[0] = 0.0;
-                // Per-phase adaptive tolerance: far from centered (large
-                // ‖z‖_∞) a loose direction suffices — the damped line search
-                // absorbs the error; near the path, tighten back down.
-                let tol = if cfg.warm_start {
-                    (worst * 1e-6).clamp(1e-10, 1e-4)
-                } else {
-                    SolverOpts::default().tol
-                };
-                let params = SolveParams {
-                    opts: Some(SolverOpts {
-                        tol,
-                        max_iter: SolverOpts::default().max_iter,
-                    }),
-                    d_gen: None,
-                    ws: Some(ws),
-                };
-                let spec = RhsSpec {
-                    b: &rhs,
-                    guess: if cfg.warm_start {
-                        prev_dy.as_deref()
-                    } else {
-                        None
-                    },
-                };
-                let (dy, solve_stats) = solver.solve_with(t, &d, &spec, &params);
-                stats.cg_iterations += solve_stats.iterations;
-                // δ_x = D(A δ_y − r_d); `dr` is dead, reuse it for A δ_y
-                incidence::apply_a_into(t, &p.graph, &dy, &mut dr);
-                let mut dx = ws.take(t, m);
-                for (o, ((&di, &ai), &ri)) in dx.iter_mut().zip(d.iter().zip(&dr).zip(&r_d)) {
-                    *o = di * (ai - ri);
-                }
-                t.charge(Cost::par_flat(m as u64 * 4));
-                // line search: stay strictly inside the box
-                let mut alpha = 1.0f64;
-                for ((&xi, &ui), &dxi) in st.x.iter().zip(&cap).zip(&dx) {
-                    if dxi > 0.0 {
-                        alpha = alpha.min(0.90 * (ui - xi) / dxi);
-                    } else if dxi < 0.0 {
-                        alpha = alpha.min(0.90 * xi / (-dxi));
-                    }
-                }
-                t.charge(Cost::reduce(m as u64));
-                for (xi, &dxi) in st.x.iter_mut().zip(&dx) {
-                    *xi += alpha * dxi;
-                }
-                barrier::repair_bound_rounding(&mut st.x, &cap);
-                for (yi, &dyi) in st.y.iter_mut().zip(&dy) {
-                    *yi += alpha * dyi;
-                }
-                // s = c − A y; reuse the dead m-length `dr` once more
-                incidence::apply_a_into(t, &p.graph, &st.y, &mut dr);
-                for ((si, &ci), &ayi) in st.s.iter_mut().zip(&cost).zip(dr.iter()) {
-                    *si = ci - ayi;
-                }
-                stats.newton_steps += 1;
-                // recycle everything; `dy` either becomes the next warm
-                // start (displacing its predecessor into the pool) or
-                // goes straight back
-                if cfg.warm_start {
-                    if let Some(old) = prev_dy.replace(dy) {
-                        ws.give(old);
-                    }
-                } else {
-                    ws.give(dy);
-                }
-                for buf in [ddx, r_d, r_p, d, dr, rhs, dx] {
-                    ws.give(buf);
-                }
-                alpha
-            })
+        |t: &mut Tracker, st: &mut CentralPathState, stats: &mut PathStats, worst: f64| {
+            // Per-phase adaptive tolerance: far from centered (large ‖z‖_∞)
+            // a loose direction suffices — the damped line search absorbs
+            // the error; near the path, tighten back down.
+            let mut opts = SolverOpts::default();
+            if cfg.warm_start {
+                opts.tol = (worst * 1e-6).clamp(1e-10, 1e-4);
+            }
+            let warm = cfg.warm_start.then_some(&mut prev_dy);
+            newton_step(t, p, &solver, opts, &cap, st, stats, warm, ws)
         };
 
     t.span("ipm/loop", |t| {
@@ -432,8 +440,8 @@ pub(crate) fn follow(
             let cg_at_start = stats.cg_iterations;
             let iter_wall = pmcf_obs::ipm_iter_listening().then(std::time::Instant::now);
             if stats.iterations % cfg.tau_refresh == 0 {
-                let round = stats.iterations;
-                refresh_tau(t, &mut st, &mut stats, round);
+                let seed = cfg.seed.wrapping_add(stats.iterations as u64);
+                refresh_tau(t, &solver, &cap, &mut st, seed);
             }
             // corrector: re-center at current μ
             for _ in 0..MAX_CORRECTORS {

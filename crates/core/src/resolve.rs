@@ -1,14 +1,12 @@
 //! Incremental re-solve on graph deltas.
 //!
-//! After a full [`crate::solve_mcf`], a [`McfCheckpoint`] retains the
-//! terminal central-path point `(x, y)`, the solver's [`Workspace`]
-//! arena, and a [`DynamicExpanderDecomposition`] mirroring the edge set.
-//! A [`ResolveDelta`] — batched edge insertions/deletions plus cost and
-//! capacity changes — is then applied through the decomposition's
-//! `insert_edges`/`delete_edges` paths (Lemma 3.1's batch-update
-//! machinery, never a rebuild), and the IPM is **warm-started** from the
-//! previous central-path point instead of the cold `x = u/2, y = 0`
-//! initialization:
+//! After a full [`crate::solve_mcf`], a [`McfCheckpoint`] keeps the
+//! instance, the terminal central-path point `(x, y)` and the solver's
+//! [`Workspace`] arena. A [`ResolveDelta`] — batched edge
+//! insertions/deletions plus cost and capacity changes — rewrites the
+//! instance and the warm primal point, and the IPM is **warm-started**
+//! from the previous central-path point instead of the cold
+//! `x = u/2, y = 0` initialization:
 //!
 //! 1. surviving edges keep their terminal fractional flow, inserted
 //!    edges start at the analytically centered value for their reduced
@@ -23,6 +21,9 @@
 //!    geometrically from `μ_end` up) — a one-edge delta restarts right
 //!    at `μ_end` and only pays a few polish Newton steps, a 10 %-of-m
 //!    delta honestly re-follows a longer stretch of the path.
+//!
+//! A re-solve runs no expander maintenance of its own: the robust engine
+//! builds its epoch structures from the mutated instance like any solve.
 //!
 //! Exactness is anchored the same way as a fresh solve: the terminal
 //! iterate is rounded by [`crate::rounding::round_to_optimal`], which
@@ -39,13 +40,9 @@ use crate::api::{self, McfSolution, SolverConfig, Start, WarmState};
 use crate::barrier;
 use crate::error::McfError;
 use crate::init;
-use pmcf_expander::dynamic::EdgeKey;
-use pmcf_expander::DynamicExpanderDecomposition;
 use pmcf_graph::{DiGraph, McfProblem};
 use pmcf_pram::{Cost, Tracker, Workspace};
 
-/// Conductance parameter for the checkpoint's expander decomposition.
-const DED_PHI: f64 = 0.1;
 /// Largest `‖z‖_∞` accepted by the μ-scan (the ε-centered ball of
 /// Definition F.1 has radius 1).
 const Z_ACCEPT: f64 = 1.0;
@@ -132,23 +129,18 @@ impl ResolveDelta {
 /// [`McfCheckpoint::resolve`]. The checkpoint survives *failed* solves
 /// too: an [`McfError`] invalidates the warm point (the next resolve
 /// silently falls back to a fresh solve and re-arms it) but the problem
-/// and decomposition stay synchronized with the applied deltas, so a
-/// churn sequence can continue straight through an infeasible window.
+/// stays synchronized with the applied deltas, so a churn sequence can
+/// continue straight through an infeasible window.
 pub struct McfCheckpoint {
     problem: McfProblem,
     cfg: SolverConfig,
     /// Terminal central-path point of the last successful solve; `None`
     /// after an error (→ fresh fallback on the next resolve).
     warm: Option<WarmState>,
-    ded: DynamicExpanderDecomposition,
-    /// Decomposition key of every current edge, parallel to the edge
-    /// list — the plumbing that lets deltas hit `delete_edges` directly.
-    ded_keys: Vec<EdgeKey>,
     /// Long-lived buffer arena threaded through every warm solve.
     ws: Workspace,
     resolves: u64,
     fresh_fallbacks: u64,
-    stale_deletes: u64,
 }
 
 impl McfCheckpoint {
@@ -160,8 +152,6 @@ impl McfCheckpoint {
         p: &McfProblem,
         cfg: &SolverConfig,
     ) -> (Self, Result<McfSolution, McfError>) {
-        let mut ded = DynamicExpanderDecomposition::new(p.n().max(1), DED_PHI, cfg.path.seed);
-        let ded_keys = ded.insert_edges(t, p.graph.edges());
         let (warm, result) = match api::solve(t, p, cfg, Start::Cold) {
             Ok((sol, w)) => (Some(w), Ok(sol)),
             Err(e) => (None, Err(e)),
@@ -171,12 +161,9 @@ impl McfCheckpoint {
                 problem: p.clone(),
                 cfg: *cfg,
                 warm,
-                ded,
-                ded_keys,
                 ws: Workspace::new(),
                 resolves: 0,
                 fresh_fallbacks: 0,
-                stale_deletes: 0,
             },
             result,
         )
@@ -190,11 +177,6 @@ impl McfCheckpoint {
     /// The solver configuration the checkpoint was built with.
     pub fn config(&self) -> &SolverConfig {
         &self.cfg
-    }
-
-    /// The incrementally maintained expander decomposition.
-    pub fn decomposition(&self) -> &DynamicExpanderDecomposition {
-        &self.ded
     }
 
     /// Whether the next resolve can warm-start (false right after an
@@ -211,13 +193,6 @@ impl McfCheckpoint {
     /// Resolves that had to fall back to a fresh solve.
     pub fn fresh_fallbacks(&self) -> u64 {
         self.fresh_fallbacks
-    }
-
-    /// Stale keys reported by the decomposition across all deltas
-    /// (always 0 unless the key plumbing desyncs — see the
-    /// `expander.stale_deletes` counter).
-    pub fn stale_deletes(&self) -> u64 {
-        self.stale_deletes
     }
 
     /// Apply `delta` and re-solve, warm-starting from the previous
@@ -271,7 +246,7 @@ impl McfCheckpoint {
     }
 
     /// Validate `delta` (rejecting atomically) and then mutate the
-    /// problem, the decomposition, and the warm primal point.
+    /// problem and the warm primal point.
     fn apply_delta(&mut self, t: &mut Tracker, delta: &ResolveDelta) -> Result<(), McfError> {
         let (m, n) = (self.problem.m(), self.problem.n());
         let mut del_mask = vec![false; m];
@@ -336,31 +311,13 @@ impl McfCheckpoint {
             cap[e] = u;
         }
 
-        // decomposition first: deletions through the batch-update path
-        let del_keys: Vec<EdgeKey> = (0..m)
-            .filter(|&e| del_mask[e])
-            .map(|e| self.ded_keys[e])
-            .collect();
-        if !del_keys.is_empty() {
-            let stale = self.ded.delete_edges(t, &del_keys);
-            self.stale_deletes += stale as u64;
-        }
-        let new_endpoints: Vec<(usize, usize)> =
-            delta.insert.iter().map(|ne| (ne.from, ne.to)).collect();
-        let new_keys = if new_endpoints.is_empty() {
-            Vec::new()
-        } else {
-            self.ded.insert_edges(t, &new_endpoints)
-        };
-
         // rebuild the edge-parallel vectors: survivors in order, then
         // insertions. Inserted warm flows are NaN-marked; `solve_warm`
         // replaces them with the analytically centered value once the
         // local reduced costs are known.
-        let mut edges = Vec::with_capacity(m - del_keys.len() + delta.insert.len());
+        let mut edges = Vec::with_capacity(m - delta.delete.len() + delta.insert.len());
         let mut new_cap = Vec::with_capacity(edges.capacity());
         let mut new_cost = Vec::with_capacity(edges.capacity());
-        let mut new_ded_keys = Vec::with_capacity(edges.capacity());
         let mut new_x: Vec<f64> = Vec::with_capacity(edges.capacity());
         let warm_x = self.warm.as_ref().map(|w| w.x_frac.as_slice());
         for e in 0..m {
@@ -370,16 +327,14 @@ impl McfCheckpoint {
             edges.push(self.problem.graph.endpoints(e));
             new_cap.push(cap[e]);
             new_cost.push(cost[e]);
-            new_ded_keys.push(self.ded_keys[e]);
             if let Some(x) = warm_x {
                 new_x.push(x[e]);
             }
         }
-        for (i, ne) in delta.insert.iter().enumerate() {
+        for ne in &delta.insert {
             edges.push((ne.from, ne.to));
             new_cap.push(ne.cap);
             new_cost.push(ne.cost);
-            new_ded_keys.push(new_keys[i]);
             if warm_x.is_some() {
                 new_x.push(f64::NAN);
             }
@@ -394,7 +349,6 @@ impl McfCheckpoint {
             new_cost,
             self.problem.demand.clone(),
         );
-        self.ded_keys = new_ded_keys;
         if let Some(w) = self.warm.as_mut() {
             w.x_frac = new_x;
         }
@@ -835,8 +789,6 @@ mod tests {
                 (g, w) => panic!("round {round}: resolve {g:?} vs ssp {w:?}"),
             }
         }
-        assert_eq!(ck.stale_deletes(), 0);
-        assert_eq!(ck.decomposition().edge_count(), ck.problem().m());
     }
 
     #[test]
@@ -1043,7 +995,48 @@ mod tests {
             .unwrap();
         assert_eq!(sol.cost, 0);
         assert_eq!(ck.problem().m(), 0);
-        assert_eq!(ck.decomposition().edge_count(), 0);
+    }
+
+    #[test]
+    fn resolve_does_no_expander_work() {
+        fn expander_spans(spans: &[pmcf_pram::profile::SpanReport]) -> Vec<String> {
+            let mut out = Vec::new();
+            for s in spans {
+                if s.name.starts_with("expander/") {
+                    out.push(s.name.clone());
+                }
+                out.extend(expander_spans(&s.children));
+            }
+            out
+        }
+        let p = generators::random_mcf(9, 30, 4, 3, 21);
+        let mut t = Tracker::profiled();
+        let (mut ck, first) = crate::solve_mcf_checkpointed(&mut t, &p, &SolverConfig::default());
+        first.unwrap();
+        let delta = ResolveDelta {
+            delete: vec![2],
+            insert: vec![NewEdge {
+                from: 1,
+                to: 5,
+                cap: 3,
+                cost: 2,
+            }],
+            ..Default::default()
+        };
+        let got = ck.resolve(&mut t, &delta);
+        match (got, ssp::min_cost_flow(ck.problem())) {
+            (Ok(sol), Some(w)) => assert_eq!(sol.cost, w.cost(ck.problem())),
+            (Err(McfError::Infeasible), None) => {}
+            (g, w) => panic!("resolve {g:?} vs ssp {w:?}"),
+        }
+        let rep = t.profile_report().expect("profiled tracker");
+        assert_eq!(expander_spans(&rep.spans), Vec::<String>::new());
+        let counters: Vec<&String> = rep
+            .counters
+            .keys()
+            .filter(|k| k.starts_with("expander."))
+            .collect();
+        assert!(counters.is_empty(), "expander counters {counters:?}");
     }
 
     #[test]

@@ -22,13 +22,17 @@
 //! `x, s`, recenters with dense Newton steps, and reinitializes all data
 //! structures — exactly the cadence at which the paper re-initializes
 //! its structures, so the amortized `Õ(m/√n)` per-iteration cost is
-//! preserved while keeping the trajectory numerically anchored.
+//! preserved while keeping the trajectory numerically anchored. The
+//! recentering is the reference engine's own Newton step
+//! (`reference::newton_step`) and every sixth epoch refreshes τ through
+//! the same leverage pass (`reference::refresh_tau`), both on the one
+//! full-graph Laplacian solver the solve builds.
 
 use crate::api::Engine;
 use crate::barrier;
 use crate::reference::{
-    begin, centrality, finish, CentralPathState, PathFollowConfig, PathStats, CENTER_TOL,
-    MAX_CORRECTORS, MAX_ITERS, STEP_R,
+    begin, centrality, finish, newton_step, refresh_tau, CentralPathState, PathFollowConfig,
+    PathStats, CENTER_TOL, MAX_CORRECTORS, MAX_ITERS, STEP_R,
 };
 use pmcf_ds::dual::DualMaintenance;
 use pmcf_ds::heavy_sampler::HeavySampler;
@@ -218,7 +222,7 @@ pub fn path_follow(
 /// [`path_follow`] from either start: `warm` carries the previous duals
 /// and the checkpoint's long-lived [`Workspace`]; without it the run
 /// starts from `y = 0` with a private arena. On a warm start the initial
-/// `refresh_tau_dense` + recenter rounds re-center the point after the
+/// [`refresh_tau`] and recentering rounds re-center the point after the
 /// delta before any epoch structure is built.
 pub(crate) fn follow(
     t: &mut Tracker,
@@ -231,26 +235,9 @@ pub(crate) fn follow(
 ) -> (CentralPathState, PathStats) {
     let (n, m) = (p.n(), p.m());
     let cap: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
-    let cost: Vec<f64> = p.cost.iter().map(|&c| c as f64).collect();
+    // the one full-graph solver: the recentering, the τ refresh and the
+    // step sparsifier's fallback each pass their own options per call
     let solver = LaplacianSolver::new(p.graph.clone(), 0, SolverOpts::default());
-    // loose solver for weight estimation (constant-factor accuracy is
-    // plenty for barrier weights)
-    let tau_solver = LaplacianSolver::new(
-        p.graph.clone(),
-        0,
-        SolverOpts {
-            tol: 2e-3,
-            max_iter: 300,
-        },
-    );
-    let recenter_solver = LaplacianSolver::new(
-        p.graph.clone(),
-        0,
-        SolverOpts {
-            tol: 1e-7,
-            max_iter: 1500,
-        },
-    );
 
     let is_warm = warm.is_some();
     let (y0, ws_ext) = warm.unzip();
@@ -288,54 +275,23 @@ pub(crate) fn follow(
                     // scale the CG tolerance to the current centrality so
                     // early recentering rounds stop burning depth on
                     // accuracy the next round discards.
-                    let newton_opts = if cfg.warm_start {
-                        Some(SolverOpts {
-                            tol: (worst * 1e-6).clamp(1e-9, 1e-4),
-                            max_iter: 1500,
-                        })
+                    let tol = if cfg.warm_start {
+                        (worst * 1e-6).clamp(1e-9, 1e-4)
                     } else {
-                        None
+                        1e-7
                     };
-                    dense_newton(
-                        t,
-                        p,
-                        &recenter_solver,
-                        &cap,
-                        &cost,
-                        st,
-                        stats,
-                        cfg.warm_start,
-                        &mut recenter_warm,
-                        newton_opts,
-                        ws,
-                    );
+                    let opts = SolverOpts {
+                        tol,
+                        max_iter: 1500,
+                    };
+                    let warm = cfg.warm_start.then_some(&mut recenter_warm);
+                    newton_step(t, p, &solver, opts, &cap, st, stats, warm, ws);
                 }
             })
         };
 
-    // τ anchor from dense leverage estimate
-    let refresh_tau_dense = |t: &mut Tracker, st: &mut CentralPathState, round: usize| {
-        t.span("ipm/tau-refresh", |t| {
-            t.counter("ipm.tau_refreshes", 1);
-            let d: Vec<f64> =
-                st.x.iter()
-                    .zip(&cap)
-                    .map(|(&xi, &ui)| 1.0 / phi_terms(xi, ui).1)
-                    .collect();
-            let sigma = pmcf_linalg::leverage::estimate_leverage(
-                t,
-                &tau_solver,
-                &d,
-                0.8,
-                cfg.seed + round as u64,
-            );
-            let reg = n as f64 / m as f64;
-            for (te, se) in st.tau.iter_mut().zip(&sigma) {
-                *te = se + reg;
-            }
-        })
-    };
-    refresh_tau_dense(t, &mut st, 0);
+    // τ anchor from a dense leverage estimate
+    refresh_tau(t, &solver, &cap, &mut st, cfg.seed);
     recenter(t, &mut st, &mut stats, MAX_CORRECTORS);
 
     let epoch = ((n as f64).sqrt().ceil() as usize).max(8);
@@ -380,7 +336,8 @@ pub(crate) fn follow(
                     // every few epochs only — the Lewis maintenance keeps τ̄
                     // locally fresh in between
                     if (stats.iterations / epoch).is_multiple_of(6) {
-                        refresh_tau_dense(t, &mut st, stats.iterations);
+                        let seed = cfg.seed.wrapping_add(stats.iterations as u64);
+                        refresh_tau(t, &solver, &cap, &mut st, seed);
                     } else {
                         st.tau.copy_from_slice(&rs.tau);
                     }
@@ -699,7 +656,8 @@ pub(crate) fn follow(
     st.x = rs.pg.compute_exact(t);
     st.s = rs.dm.compute_exact(t);
     barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
-    refresh_tau_dense(t, &mut st, stats.iterations + 1);
+    let seed = cfg.seed.wrapping_add(stats.iterations as u64 + 1);
+    refresh_tau(t, &solver, &cap, &mut st, seed);
     recenter(t, &mut st, &mut stats, 2 * MAX_CORRECTORS);
     let (_, mut worst) = centrality(&st, &cap);
     // Extended rescue: warm starts can land here still outside the
@@ -712,104 +670,6 @@ pub(crate) fn follow(
     }
     finish(t, label, is_warm, st.mu, worst, &mut stats);
     (st, stats)
-}
-
-/// One dense Newton step (shared with the reference engine's math; used
-/// for the periodic recentering whose amortized cost is `Õ(m/√n)`).
-///
-/// `warm` carries the previous step's `δ_y` as a CG warm start when
-/// `warm_start` is set; the solver falls back to a cold start whenever
-/// the guess does not reduce the initial residual.
-#[allow(clippy::too_many_arguments)]
-fn dense_newton(
-    t: &mut Tracker,
-    p: &McfProblem,
-    solver: &LaplacianSolver,
-    cap: &[f64],
-    cost: &[f64],
-    st: &mut CentralPathState,
-    stats: &mut PathStats,
-    warm_start: bool,
-    warm: &mut Option<Vec<f64>>,
-    opts: Option<SolverOpts>,
-    ws: &Workspace,
-) {
-    t.span("ipm/newton", |t| {
-        t.counter("ipm.newton_steps", 1);
-        let m = p.m();
-        let n = p.n();
-        let mut r_d = ws.take(t, m);
-        for (e, o) in r_d.iter_mut().enumerate() {
-            let (d1, _) = phi_terms(st.x[e], cap[e]);
-            *o = st.s[e] + st.mu * st.tau[e] * d1;
-        }
-        let mut atx = ws.take(t, n);
-        incidence::apply_at_into(t, &p.graph, &st.x, &mut atx);
-        let mut d = ws.take(t, m);
-        for (e, o) in d.iter_mut().enumerate() {
-            let (_, d2) = phi_terms(st.x[e], cap[e]);
-            *o = 1.0 / (st.mu * st.tau[e] * d2);
-        }
-        let mut dr = ws.take(t, m);
-        for (o, (&di, &ri)) in dr.iter_mut().zip(d.iter().zip(r_d.iter())) {
-            *o = di * ri;
-        }
-        let mut rhs = ws.take(t, n);
-        incidence::apply_at_into(t, &p.graph, &dr, &mut rhs);
-        for (v, o) in rhs.iter_mut().enumerate() {
-            *o += p.demand[v] as f64 - atx[v];
-        }
-        rhs[0] = 0.0;
-        let params = SolveParams {
-            opts,
-            d_gen: None,
-            ws: Some(ws),
-        };
-        let spec = RhsSpec {
-            b: &rhs,
-            guess: if warm_start { warm.as_deref() } else { None },
-        };
-        let (dy, ss) = solver.solve_with(t, &d, &spec, &params);
-        stats.cg_iterations += ss.iterations;
-        // δ_x = D(A δ_y − r_d); `dr` is dead, reuse it for A δ_y
-        incidence::apply_a_into(t, &p.graph, &dy, &mut dr);
-        let mut dx = ws.take(t, m);
-        for (e, o) in dx.iter_mut().enumerate() {
-            *o = d[e] * (dr[e] - r_d[e]);
-        }
-        let mut alpha = 1.0f64;
-        for (e, &dxe) in dx.iter().enumerate() {
-            if dxe > 0.0 {
-                alpha = alpha.min(0.90 * (cap[e] - st.x[e]) / dxe);
-            } else if dxe < 0.0 {
-                alpha = alpha.min(0.90 * st.x[e] / (-dxe));
-            }
-        }
-        t.charge(Cost::par_flat(m as u64 * 4).seq(Cost::reduce(m as u64)));
-        for (xe, &dxe) in st.x.iter_mut().zip(dx.iter()) {
-            *xe += alpha * dxe;
-        }
-        barrier::repair_bound_rounding(&mut st.x, cap);
-        for (yi, &dyi) in st.y.iter_mut().zip(&dy) {
-            *yi += alpha * dyi;
-        }
-        // s = c − A y; reuse the dead m-length `dr` once more
-        incidence::apply_a_into(t, &p.graph, &st.y, &mut dr);
-        for ((se, &ce), &aye) in st.s.iter_mut().zip(cost.iter()).zip(dr.iter()) {
-            *se = ce - aye;
-        }
-        stats.newton_steps += 1;
-        if warm_start {
-            if let Some(old) = warm.replace(dy) {
-                ws.give(old);
-            }
-        } else {
-            ws.give(dy);
-        }
-        for buf in [r_d, atx, d, dr, rhs, dx] {
-            ws.give(buf);
-        }
-    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! other on seeded *adversarial* instance families and treats any
 //! disagreement as a bug in somebody:
 //!
-//! * [`families`] — seeded generators for the edge cases that broke (or
+//! * [`families`](mod@families) — seeded generators for the edge cases that broke (or
 //!   could break) the solver: zero-capacity and saturated edges,
 //!   self-loops, parallel/antiparallel bundles, disconnected demands,
 //!   infeasible demand vectors, degenerate all-equal costs, magnitudes

@@ -63,6 +63,48 @@ impl SamplePotentials {
     }
 }
 
+/// Distinct index draws for [`HeavyHitter::sample`] and
+/// [`HeavyHitter::sparsify_sample`] without hashing: one marker per
+/// index, sized once per call to the largest part degree and cleared
+/// through the picks after every draw.
+struct Picker {
+    mark: Vec<bool>,
+    picks: Vec<usize>,
+}
+
+impl Picker {
+    fn new<'a>(classes: impl Iterator<Item = &'a ClassState>) -> Self {
+        let max_deg = classes
+            .flat_map(|class| class.ded.part_views())
+            .flat_map(|view| view.adj.iter().map(Vec::len))
+            .max()
+            .unwrap_or(0);
+        Picker {
+            mark: vec![false; max_deg],
+            picks: Vec::new(),
+        }
+    }
+
+    /// `cnt ≤ deg` distinct indices of `0..deg` in increasing order, by
+    /// rejection: one `gen_range` per draw, each counted in `touched`.
+    fn draw(&mut self, rng: &mut SmallRng, deg: usize, cnt: usize, touched: &mut u64) -> &[usize] {
+        self.picks.clear();
+        while self.picks.len() < cnt {
+            let j = rng.gen_range(0..deg);
+            *touched += 1;
+            if !self.mark[j] {
+                self.mark[j] = true;
+                self.picks.push(j);
+            }
+        }
+        for &j in &self.picks {
+            self.mark[j] = false;
+        }
+        self.picks.sort_unstable();
+        &self.picks
+    }
+}
+
 /// Weighted-incidence heavy-hitter index (Lemma B.1).
 pub struct HeavyHitter {
     graph: DiGraph,
@@ -364,6 +406,7 @@ impl HeavyHitter {
             let q = pot.q;
             let mut out = Vec::new();
             let mut touched = 0u64;
+            let mut picker = Picker::new(self.classes.values());
             for (&c, class) in &self.classes {
                 let w2 = (CLASS_BASE * CLASS_BASE).powi(c + 1);
                 for (slot, view) in class.ded.part_views_keyed() {
@@ -394,14 +437,7 @@ impl HeavyHitter {
                             }
                             cnt
                         };
-                        let mut chosen = std::collections::HashSet::with_capacity(cnt);
-                        while chosen.len() < cnt {
-                            chosen.insert(self.rng.gen_range(0..deg));
-                            touched += 1;
-                        }
-                        let mut picks: Vec<usize> = chosen.into_iter().collect();
-                        picks.sort_unstable();
-                        for j in picks {
+                        for &j in picker.draw(&mut self.rng, deg, cnt, &mut touched) {
                             let (_, le) = view.adj[lv][j];
                             if view.alive_edge[le] {
                                 out.push(class.edge_of[view.keys[le] as usize]);
@@ -473,6 +509,7 @@ impl HeavyHitter {
             t.counter("hh.sparsify_samples", 1);
             let mut picked: Vec<EdgeId> = Vec::new();
             let mut touched = 0u64;
+            let mut picker = Picker::new(self.classes.values());
             for class in self.classes.values() {
                 for view in class.ded.part_views() {
                     for (lv, adj) in view.adj.iter().enumerate() {
@@ -505,14 +542,7 @@ impl HeavyHitter {
                                 ((adj.len() as f64 * p).round() as usize).min(adj.len())
                             }
                         };
-                        let mut chosen = std::collections::HashSet::with_capacity(want);
-                        while chosen.len() < want {
-                            chosen.insert(self.rng.gen_range(0..adj.len()));
-                            touched += 1;
-                        }
-                        let mut picks: Vec<usize> = chosen.into_iter().collect();
-                        picks.sort_unstable();
-                        for j in picks {
+                        for &j in picker.draw(&mut self.rng, adj.len(), want, &mut touched) {
                             let (_, le) = view.adj[lv][j];
                             if view.alive_edge[le] {
                                 picked.push(class.edge_of[view.keys[le] as usize]);

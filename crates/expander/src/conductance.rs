@@ -329,14 +329,6 @@ pub fn sweep_cut(g: &UGraph, embed: &[f64]) -> Option<(Vec<bool>, f64)> {
     Some((csr.mask(&order[..len], g.n()), phi))
 }
 
-/// Estimate `λ₂` of the normalized Laplacian from the Rayleigh quotient of
-/// the approximate Fiedler vector; `λ₂/2 ≤ conductance` (Cheeger), so this
-/// yields a one-sided expansion certificate.
-pub fn spectral_gap_lower_bound(g: &UGraph, iters: usize, seed: u64) -> f64 {
-    let x = approx_fiedler(g, iters, seed);
-    rayleigh_quotient(g, &x)
-}
-
 /// Rayleigh quotient `xᵀLx / xᵀDx` of the normalized Laplacian (an upper
 /// bound on λ₂ for x ⟂ top eigenvector; after power iteration it
 /// approaches λ₂ from above only if converged — we use it heuristically
@@ -361,7 +353,7 @@ pub fn rayleigh_quotient(g: &UGraph, x: &[f64]) -> f64 {
 /// witness, otherwise declare `g` an expander.
 ///
 /// The rounds run in lockstep over one compact CSR of the support
-/// ([`fiedler_rounds`]), built once per call with the degrees and
+/// (`fiedler_rounds`), built once per call with the degrees and
 /// buffers; each round's vector and sweep are bit-for-bit those of a
 /// lone [`approx_fiedler`] and [`sweep_cut`].
 pub fn find_sparse_cut(g: &UGraph, phi: f64, seed: u64) -> Option<(Vec<bool>, f64)> {
@@ -743,12 +735,5 @@ mod tests {
     fn rayleigh_quotient_zero_for_constant_on_component() {
         let g = UGraph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(rayleigh_quotient(&g, &[1.0, 1.0, 1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn spectral_bound_positive_for_connected() {
-        let g = complete_graph(10);
-        let gap = spectral_gap_lower_bound(&g, 200, 1);
-        assert!(gap > 0.5, "K10 normalized gap {gap}");
     }
 }

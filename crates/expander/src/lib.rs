@@ -9,7 +9,7 @@
 //! * [`unit_flow`] — `ParallelUnitFlow` / `PushThenRelabel`
 //!   (Algorithms 1–2, Lemmas 3.10–3.11),
 //! * [`trimming`] — the `Trimming` procedure (Algorithm 3, Lemma 3.7),
-//! * [`static_decomp`] — static expander decomposition (the [CMGS25]
+//! * [`static_decomp`] — static expander decomposition (the \[CMGS25\]
 //!   substitute of DESIGN.md §2: recursive spectral partitioning) and the
 //!   edge-partition variant of Lemma 3.4,
 //! * [`pruning`] — decremental expander pruning (Lemma 3.6 → Lemma 3.3),

@@ -73,19 +73,9 @@ impl BoostedPruner {
         &self.host
     }
 
-    /// Whether `v` has been pruned.
-    pub fn is_pruned(&self, v: Vertex) -> bool {
-        self.pruned[v]
-    }
-
     /// Whether edge `e` still belongs to this expander.
     pub fn edge_alive(&self, e: EdgeId) -> bool {
         !self.extracted[e]
-    }
-
-    /// Count of alive edges.
-    pub fn alive_edge_count(&self) -> usize {
-        self.extracted.iter().filter(|&&x| !x).count()
     }
 
     /// Number of pruned vertices.

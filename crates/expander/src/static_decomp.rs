@@ -1,6 +1,6 @@
 //! Static expander decomposition.
 //!
-//! The paper consumes the parallel decomposition of [CMGS25]
+//! The paper consumes the parallel decomposition of \[CMGS25\]
 //! (Theorem 3.2): partition `V` into `φ`-expanders with `Õ(φm)` crossing
 //! edges, in `Õ(m/φ²)` work and `Õ(1/φ⁴)` depth. Per DESIGN.md §2 we
 //! substitute recursive spectral partitioning — approximate Fiedler

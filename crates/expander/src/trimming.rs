@@ -118,13 +118,6 @@ impl Trimmer {
         }
     }
 
-    /// Whether the lifetime sink budget is (nearly) exhausted; once true,
-    /// further deletions will prune aggressively and the owner should
-    /// rebuild (the dynamic decomposition of Lemma 3.1 does exactly that).
-    pub fn budget_exhausted(&self) -> bool {
-        self.sink_spent >= 0.95 * self.params.lifetime_sink
-    }
-
     /// The host graph.
     pub fn graph(&self) -> &UGraph {
         &self.g

@@ -145,12 +145,6 @@ impl UnitFlowState {
         }
     }
 
-    /// Remaining (realized + pending) sink budget at `v`.
-    #[inline]
-    pub fn remaining_budget(&self, g: &UGraph, v: usize) -> f64 {
-        self.budget[v] + (self.granted - self.seen[v]) * g.degree(v) as f64
-    }
-
     /// Signed flow leaving `v` along edge `e` (given stored tail).
     #[inline]
     fn out_flow(&self, e: usize, v: usize, tail: usize) -> f64 {

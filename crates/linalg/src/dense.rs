@@ -88,11 +88,6 @@ impl DenseMat {
         &self.data[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
-    /// The underlying row-major buffer.
-    pub fn as_flat(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Convert back to the nested-`Vec` representation.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.data

@@ -17,7 +17,7 @@
 
 use crate::dense::DenseMat;
 use crate::sketch::JlSketch;
-use crate::solver::{LaplacianSolver, RhsSpec, SolveParams};
+use crate::solver::{LaplacianSolver, RhsSpec, SolveParams, SolverOpts};
 use pmcf_graph::{incidence, DiGraph};
 use pmcf_pram::{primitives as pp, Cost, Tracker};
 
@@ -54,10 +54,12 @@ pub fn exact_leverage(g: &DiGraph, d: &[f64], ground: usize) -> Vec<f64> {
 /// Sketched leverage-score estimation: `Õ(1/ε²)` Laplacian solves.
 ///
 /// Returns estimates `σ̂` with `σ̂_e ≈ (1±ε) σ_e + O(ε)` w.h.p., clamped
-/// to `[0, 1]`.
+/// to `[0, 1]`. Every sketch row is solved with `opts`: barrier weights
+/// tolerate constant-factor error, so callers pass a loose tolerance.
 pub fn estimate_leverage(
     t: &mut Tracker,
     solver: &LaplacianSolver,
+    opts: SolverOpts,
     d: &[f64],
     eps: f64,
     seed: u64,
@@ -96,8 +98,9 @@ pub fn estimate_leverage(
         });
         let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
         let params = SolveParams {
+            opts: Some(opts),
+            d_gen: None,
             ws: Some(ws),
-            ..Default::default()
         };
         let solves = solver.solve_batch(t, d, &specs, &params);
         let results: Vec<Vec<f64>> = t.parallel(r, |i, t| {
@@ -131,7 +134,6 @@ pub fn estimate_leverage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverOpts;
     use pmcf_graph::generators;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -172,7 +174,7 @@ mod tests {
         let exact = exact_leverage(&g, &d, 0);
         let solver = LaplacianSolver::new(g, 0, SolverOpts::default());
         let mut t = Tracker::new();
-        let est = estimate_leverage(&mut t, &solver, &d, 0.25, 42);
+        let est = estimate_leverage(&mut t, &solver, SolverOpts::default(), &d, 0.25, 42);
         for (e, (a, b)) in est.iter().zip(&exact).enumerate() {
             assert!(
                 (a - b).abs() < 0.35 * b + 0.1,
@@ -186,7 +188,14 @@ mod tests {
         let g = generators::gnm_digraph(12, 40, 4);
         let solver = LaplacianSolver::new(g, 0, SolverOpts::default());
         let mut t = Tracker::new();
-        let _ = estimate_leverage(&mut t, &solver, &vec![1.0; 40], 0.5, 1);
+        let _ = estimate_leverage(
+            &mut t,
+            &solver,
+            SolverOpts::default(),
+            &vec![1.0; 40],
+            0.5,
+            1,
+        );
         assert!(t.work() > 0);
         assert!(t.depth() > 0);
         // depth should be far below work (parallel sketch rows)

@@ -64,18 +64,6 @@ impl JlSketch {
             .collect()
     }
 
-    /// Apply to a sparse vector given as `(index, value)` pairs.
-    pub fn apply_sparse(&self, v: &[(usize, f64)]) -> Vec<f64> {
-        let mut out = vec![0.0; self.r];
-        for &(j, x) in v {
-            debug_assert!(j < self.m);
-            for (i, o) in out.iter_mut().enumerate() {
-                *o += self.entry(i, j) * x;
-            }
-        }
-        out
-    }
-
     /// Apply the transpose to an `r`-vector: `Qᵀ y ∈ R^m`.
     pub fn apply_transpose(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.r);
@@ -101,20 +89,6 @@ mod tests {
             let snorm2: f64 = sk.iter().map(|x| x * x).sum();
             let ratio = snorm2 / norm2;
             assert!(ratio > 0.5 && ratio < 1.7, "ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn sparse_apply_matches_dense() {
-        let q = JlSketch::new(10, 50, 3);
-        let mut dense = vec![0.0; 50];
-        dense[7] = 2.0;
-        dense[33] = -1.5;
-        let sparse = vec![(7, 2.0), (33, -1.5)];
-        let a = q.apply(&dense);
-        let b = q.apply_sparse(&sparse);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-12);
         }
     }
 

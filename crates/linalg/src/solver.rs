@@ -3,7 +3,7 @@
 //! Solves `AᵀDA x = b` where `A` is a (column-deleted) incidence matrix
 //! and `D` a positive diagonal — i.e. a grounded weighted graph
 //! Laplacian. The paper cites the `Õ(nnz)`-work, `Õ(1)`-depth solver of
-//! [PS14]; per DESIGN.md §2 we substitute Jacobi-preconditioned conjugate
+//! \[PS14\]; per DESIGN.md §2 we substitute Jacobi-preconditioned conjugate
 //! gradient: identical interface (ε-approximate solve), matrix-free
 //! parallel matvecs, and the iteration count is *reported* in
 //! [`SolveStats`] so the substitution's cost is visible rather than

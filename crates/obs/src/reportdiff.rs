@@ -363,7 +363,7 @@ impl ReportDiff {
             && !self.counters.iter().any(deterministic_counter_moved)
     }
 
-    /// Span paths violating [`charged_costs_identical`], with their
+    /// Span paths violating [`Self::charged_costs_identical`], with their
     /// work/depth deltas (for error messages).
     pub fn charged_cost_violations(&self) -> Vec<String> {
         let mut out = Vec::new();

@@ -121,15 +121,6 @@ impl Cost {
             depth: l * l,
         }
     }
-
-    /// Scale the work component (e.g. items that each do `w` operations).
-    #[inline]
-    pub fn times_work(self, w: u64) -> Cost {
-        Cost {
-            work: self.work.saturating_mul(w),
-            depth: self.depth,
-        }
-    }
 }
 
 impl std::ops::Add for Cost {

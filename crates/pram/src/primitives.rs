@@ -29,38 +29,6 @@ pub fn par_map<T: Sync, U: Send>(
     }
 }
 
-/// Parallel indexed map: `out[i] = f(i, &xs[i])`.
-pub fn par_map_idx<T: Sync, U: Send>(
-    t: &mut Tracker,
-    xs: &[T],
-    f: impl Fn(usize, &T) -> U + Sync + Send,
-) -> Vec<U> {
-    t.charge_par_flat(xs.len() as u64);
-    if xs.len() < SEQ_CUTOFF {
-        xs.iter().enumerate().map(|(i, x)| f(i, x)).collect()
-    } else {
-        xs.par_iter().enumerate().map(|(i, x)| f(i, x)).collect()
-    }
-}
-
-/// Parallel in-place update: `xs[i] = f(i, xs[i])`.
-pub fn par_update<T: Send + Sync + Copy>(
-    t: &mut Tracker,
-    xs: &mut [T],
-    f: impl Fn(usize, T) -> T + Sync + Send,
-) {
-    t.charge_par_flat(xs.len() as u64);
-    if xs.len() < SEQ_CUTOFF {
-        for (i, x) in xs.iter_mut().enumerate() {
-            *x = f(i, *x);
-        }
-    } else {
-        xs.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, x)| *x = f(i, *x));
-    }
-}
-
 /// Parallel tree reduction. Work `n`, depth `log n + 1`.
 pub fn par_reduce<T: Sync, U: Send + Sync + Copy>(
     t: &mut Tracker,
@@ -75,18 +43,6 @@ pub fn par_reduce<T: Sync, U: Send + Sync + Copy>(
     } else {
         xs.par_iter().map(map).reduce(|| identity, &combine)
     }
-}
-
-/// Parallel sum of `f64`s. (Floating-point reduction order differs between
-/// the sequential and parallel paths; callers must tolerate this, as all
-/// IPM quantities here do.)
-pub fn par_sum(t: &mut Tracker, xs: &[f64]) -> f64 {
-    par_reduce(t, xs, 0.0, |x| *x, |a, b| a + b)
-}
-
-/// Parallel max over `f64`s (NaN-free inputs assumed).
-pub fn par_max(t: &mut Tracker, xs: &[f64]) -> f64 {
-    par_reduce(t, xs, f64::NEG_INFINITY, |x| *x, f64::max)
 }
 
 /// Exclusive prefix scan (Blelloch). Returns `(prefix, total)` where
@@ -238,27 +194,6 @@ pub fn par_axpy(t: &mut Tracker, alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// [`par_map`] writing into a caller buffer: `out[i] = f(&xs[i])`.
-/// Identical charged cost; no allocation.
-pub fn par_map_into<T: Sync, U: Send>(
-    t: &mut Tracker,
-    xs: &[T],
-    out: &mut [U],
-    f: impl Fn(&T) -> U + Sync + Send,
-) {
-    assert_eq!(xs.len(), out.len(), "map_into of mismatched lengths");
-    t.charge_par_flat(xs.len() as u64);
-    if xs.len() < SEQ_CUTOFF {
-        for (o, x) in out.iter_mut().zip(xs) {
-            *o = f(x);
-        }
-    } else {
-        out.par_iter_mut()
-            .zip(xs.par_iter())
-            .for_each(|(o, x)| *o = f(x));
-    }
-}
-
 /// [`par_tabulate`] writing into a caller buffer: `out[i] = f(i)`.
 /// Identical charged cost; no allocation.
 pub fn par_tabulate_into<U: Send>(
@@ -273,24 +208,6 @@ pub fn par_tabulate_into<U: Send>(
         }
     } else {
         out.par_iter_mut().enumerate().for_each(|(i, o)| *o = f(i));
-    }
-}
-
-/// `out ← a ∘ b` elementwise, into a caller buffer. Identical charged
-/// cost to [`par_hadamard`]; no allocation.
-pub fn par_hadamard_into(t: &mut Tracker, a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "hadamard of mismatched lengths");
-    assert_eq!(a.len(), out.len(), "hadamard_into output length");
-    t.charge_par_flat(a.len() as u64);
-    if a.len() < SEQ_CUTOFF {
-        for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-            *o = x * y;
-        }
-    } else {
-        out.par_iter_mut()
-            .zip(a.par_iter())
-            .zip(b.par_iter())
-            .for_each(|((o, x), y)| *o = x * y);
     }
 }
 
@@ -452,34 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn par_update_applies_in_place() {
-        let mut t = Tracker::new();
-        let mut xs = vec![1.0f64, 2.0, 3.0];
-        par_update(&mut t, &mut xs, |i, x| x + i as f64);
-        assert_eq!(xs, vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
     fn into_variants_match_allocating_counterparts() {
         for n in [5usize, 5000] {
-            let a: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64).collect();
             let mut t1 = Tracker::new();
             let mut t2 = Tracker::new();
-            // map
-            let want = par_map(&mut t1, &a, |x| x * 2.0 + 1.0);
-            let mut got = vec![0.0; n];
-            par_map_into(&mut t2, &a, &mut got, |x| x * 2.0 + 1.0);
-            assert_eq!(got, want, "n={n}");
-            // tabulate
             let want = par_tabulate(&mut t1, n, |i| i as f64 * 3.0);
+            let mut got = vec![0.0; n];
             par_tabulate_into(&mut t2, &mut got, |i| i as f64 * 3.0);
             assert_eq!(got, want, "n={n}");
-            // hadamard
-            let want = par_hadamard(&mut t1, &a, &b);
-            par_hadamard_into(&mut t2, &a, &b, &mut got);
-            assert_eq!(got, want, "n={n}");
-            // identical charged costs across the whole sequence
+            // identical charged costs
             assert_eq!(t1.total(), t2.total(), "n={n}");
         }
     }
@@ -525,12 +423,6 @@ mod tests {
         par_scale(&mut t, -0.5, &mut y);
         assert_eq!(y, vec![-0.5, 1.0, -1.5]);
         assert_eq!(t.work(), 3);
-    }
-
-    #[test]
-    fn par_max_handles_negatives() {
-        let mut t = Tracker::new();
-        assert_eq!(par_max(&mut t, &[-5.0, -2.0, -9.0]), -2.0);
     }
 
     #[test]

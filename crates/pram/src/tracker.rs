@@ -93,11 +93,6 @@ impl Tracker {
         self.profiler.is_some()
     }
 
-    /// Whether a critical-path depth ledger is attached.
-    pub fn is_critpath(&self) -> bool {
-        self.ledger.is_some()
-    }
-
     /// Snapshot the critical-path attribution (the per-span-path depth
     /// ledger against the current total depth). `None` without a ledger.
     pub fn critpath_report(&self) -> Option<CritPathReport> {
@@ -236,12 +231,6 @@ impl Tracker {
     #[inline]
     pub fn charge_par_flat(&mut self, n: u64) {
         self.charge(Cost::par_flat(n));
-    }
-
-    /// Charge a flat parallel loop over `n` items of `per_item` cost each.
-    #[inline]
-    pub fn charge_par_for(&mut self, n: u64, per_item: Cost) {
-        self.charge(Cost::par_for(n, per_item));
     }
 
     /// Run two closures as parallel branches; their charges compose with
